@@ -249,8 +249,6 @@ let run_serve socket threads shards max_batch no_fences no_routability wal_path
      usage_error (Printf.sprintf "--snapshot-every must be >= 1 (got %d)" n)
    | Some _ when wal_path = None ->
      usage_error "--snapshot-every requires --wal PATH"
-   | Some _ when socket = None ->
-     usage_error "--snapshot-every requires --socket PATH (event-loop mode)"
    | _ -> ());
   let faults =
     match fault_kinds with
@@ -320,13 +318,9 @@ let run_serve socket threads shards max_batch no_fences no_routability wal_path
   Fun.protect
     ~finally:(fun () -> Option.iter Mcl_resilience.Wal.close wal)
     (fun () ->
-       match socket with
-       | Some path ->
-         Mcl_netserve.Netserve.serve engine ?wal ?wal_path ?faults ~max_pending
-           ~max_conns ?snapshot_every ~max_batch ~path ()
-       | None ->
-         Mcl_service.Server.serve_stdio engine ?wal ?faults ~max_pending
-           ~max_batch ())
+       Mcl_netserve.Netserve.serve engine ?wal ?wal_path ?faults ~max_pending
+         ~max_conns ?snapshot_every ~max_batch
+         (match socket with Some path -> `Socket path | None -> `Stdio))
 
 let serve_cmd =
   let socket =
@@ -406,7 +400,7 @@ let serve_cmd =
              ~doc:"Write an atomic placement snapshot and truncate the \
                    write-ahead log every N journaled mutations, so --recover \
                    replays only the delta since the last snapshot. Requires \
-                   --wal and --socket.")
+                   --wal.")
   in
   let fault_seed =
     Arg.(value & opt (some int) None

@@ -1,271 +1,4 @@
-module Fault = Mcl_resilience.Fault
 module Wal = Mcl_resilience.Wal
-
-(* ---------------------------------------------------------------- *)
-(* Line reader                                                       *)
-(* ---------------------------------------------------------------- *)
-
-(* Line reader over a raw fd with its own buffer: we cannot mix
-   [input_line]'s channel buffering with [Unix.select], which only sees
-   the fd — buffered-but-unread lines would stall the greedy batch
-   drain.
-
-   The buffer is a growable [Bytes.t] with a consumed prefix
-   ([start]), a fill mark ([fill]) and a newline scan mark ([scan]):
-   [buf.[start..scan)] is known newline-free, so popping a line only
-   examines bytes once no matter how many refills it takes to complete
-   the line (the old [Buffer]-based reader rescanned its whole content
-   on every pop — quadratic against a slow writer). Compaction is
-   lazy: the consumed prefix is only blitted away when a refill needs
-   the room, so steady-state popping never copies. *)
-type reader = {
-  fd : Unix.file_descr;
-  mutable buf : Bytes.t;
-  mutable start : int;  (* first unconsumed byte *)
-  mutable fill : int;  (* end of valid data *)
-  mutable scan : int;  (* no '\n' anywhere in [start, scan) *)
-  mutable eof : bool;
-  mutable discarding : bool;
-      (* an overlong line was shed: drop bytes until its newline *)
-  max_line : int;
-  faults : Fault.t option;
-}
-
-let reader ?faults ?(max_line = 1 lsl 20) fd =
-  { fd; buf = Bytes.create 65536; start = 0; fill = 0; scan = 0; eof = false;
-    discarding = false; max_line; faults }
-
-let find_newline r =
-  let rec go i = if i >= r.fill then None
-    else if Bytes.get r.buf i = '\n' then Some i
-    else go (i + 1)
-  in
-  go r.scan
-
-(* Pop one complete line, if any. [`Overlong] is returned once, at the
-   moment a line exceeds [max_line] without a newline in sight; the
-   rest of that line is then discarded as it streams in. This caps
-   memory per connection and answers the garbage with a structured
-   P400 instead of buffering without bound. *)
-let rec pop_line r =
-  match find_newline r with
-  | Some i ->
-    if r.discarding then begin
-      r.start <- i + 1;
-      r.scan <- r.start;
-      r.discarding <- false;
-      pop_line r
-    end
-    else if i - r.start > r.max_line then begin
-      (* complete but over the cap: same shed as the streaming case *)
-      r.start <- i + 1;
-      r.scan <- r.start;
-      Some `Overlong
-    end
-    else begin
-      let line = Bytes.sub_string r.buf r.start (i - r.start) in
-      r.start <- i + 1;
-      r.scan <- r.start;
-      Some (`Line line)
-    end
-  | None ->
-    r.scan <- r.fill;
-    if r.discarding then begin
-      (* everything buffered belongs to the shed line: drop it *)
-      r.start <- r.fill;
-      r.scan <- r.fill;
-      None
-    end
-    else if r.fill - r.start > r.max_line then begin
-      r.discarding <- true;
-      r.start <- r.fill;
-      r.scan <- r.fill;
-      Some `Overlong
-    end
-    else if r.eof && r.fill > r.start then begin
-      (* final unterminated line *)
-      let line = Bytes.sub_string r.buf r.start (r.fill - r.start) in
-      r.start <- r.fill;
-      r.scan <- r.fill;
-      Some (`Line line)
-    end
-    else None
-
-(* Make room for at least one more read chunk: first reclaim the
-   consumed prefix, then grow. *)
-let ensure_room r =
-  let cap = Bytes.length r.buf in
-  if cap - r.fill < 4096 then begin
-    if r.start > 0 then begin
-      Bytes.blit r.buf r.start r.buf 0 (r.fill - r.start);
-      r.fill <- r.fill - r.start;
-      r.scan <- r.scan - r.start;
-      r.start <- 0
-    end;
-    if Bytes.length r.buf - r.fill < 4096 then begin
-      let bigger = Bytes.create (2 * Bytes.length r.buf) in
-      Bytes.blit r.buf 0 bigger 0 r.fill;
-      r.buf <- bigger
-    end
-  end
-
-(* Read once from the fd into the buffer. [block] = false probes with a
-   zero-timeout select first. Returns false when nothing was read. *)
-let refill r ~block =
-  if r.eof then false
-  else begin
-    let ready =
-      block
-      ||
-      match Unix.select [ r.fd ] [] [] 0.0 with
-      | [ _ ], _, _ -> true
-      | _ -> false
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-    in
-    if not ready then false
-    else if Fault.eintr r.faults then false (* injected interrupted read *)
-    else begin
-      ensure_room r;
-      let room = min (Bytes.length r.buf - r.fill) 65536 in
-      let want = Fault.short_read r.faults room in
-      match Unix.read r.fd r.buf r.fill want with
-      | 0 ->
-        r.eof <- true;
-        false
-      | n ->
-        r.fill <- r.fill + n;
-        true
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-      (* non-blocking fds (the event loop's connections) report "no
-         data yet" as EAGAIN; same answer as an empty probe *)
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> false
-    end
-  end
-
-let reader_eof r = r.eof
-
-let reader_max_line r = r.max_line
-
-let reader_faults r = r.faults
-
-(* ---------------------------------------------------------------- *)
-(* Writer                                                            *)
-(* ---------------------------------------------------------------- *)
-
-(* Full write over a raw fd, resilient to partial writes and EINTR —
-   exactly the loop the short-write/EINTR fault lanes exercise. An
-   injected connection reset surfaces as EPIPE, like a real vanished
-   peer with SIGPIPE ignored. *)
-let write_all ?faults fd s =
-  let b = Bytes.unsafe_of_string s in
-  let len = Bytes.length b in
-  let pos = ref 0 in
-  while !pos < len do
-    if Fault.conn_reset faults then
-      raise (Unix.Unix_error (Unix.EPIPE, "write", "injected connection reset"));
-    if Fault.eintr faults then () (* injected interrupted attempt; retry *)
-    else begin
-      let want = Fault.short_write faults (len - !pos) in
-      match Unix.write fd b !pos want with
-      | n -> pos := !pos + n
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    end
-  done
-
-(* ---------------------------------------------------------------- *)
-(* Request pump                                                      *)
-(* ---------------------------------------------------------------- *)
-
-type pump = {
-  engine : Engine.t;
-  r : reader;
-  out_fd : Unix.file_descr;
-  wal : Wal.t option;
-  max_batch : int;
-  max_pending : int;
-  pending : (string * float) Queue.t;  (* admitted lines + read stamp *)
-  mutable counter : int;
-}
-
-let respond p resp =
-  write_all ?faults:p.r.faults p.out_fd (Protocol.to_line resp ^ "\n")
-
-let next_id p =
-  p.counter <- p.counter + 1;
-  Printf.sprintf "req-%d" p.counter
-
-(* Admission control: a line past the pending-queue bound is answered
-   [P429-overloaded] right away instead of queueing without bound —
-   the client sees the shed immediately and can back off, and the
-   queue (not the heap) is what absorbs bursts. *)
-let shed p line ~received =
-  Telemetry.record_shed (Engine.telemetry p.engine);
-  let default_id = next_id p in
-  let resp =
-    match Protocol.parse ~received ~default_id line with
-    | Ok req ->
-      Protocol.error ~id:req.Protocol.id
-        ~op:(Protocol.op_name req.Protocol.op)
-        ~code:"P429-overloaded"
-        (Printf.sprintf "pending queue full (%d requests); request shed"
-           p.max_pending)
-    | Error e -> Protocol.error_of_parse e
-  in
-  respond p resp
-
-let overlong p =
-  let id = next_id p in
-  respond p
-    (Protocol.error ~id ~op:"?" ~code:"P400-line-too-long"
-       (Printf.sprintf "request line exceeds %d bytes; line discarded"
-          p.r.max_line))
-
-(* Move every complete buffered line into the pending queue, shedding
-   past the bound. Returns true when at least one line was consumed. *)
-let drain p =
-  let took = ref false in
-  let continue = ref true in
-  while !continue do
-    match pop_line p.r with
-    | Some (`Line line) ->
-      took := true;
-      if String.trim line <> "" then begin
-        let received = Unix.gettimeofday () in
-        if Queue.length p.pending >= p.max_pending then shed p line ~received
-        else Queue.add (line, received) p.pending
-      end
-    | Some `Overlong ->
-      took := true;
-      overlong p
-    | None -> continue := false
-  done;
-  !took
-
-(* Block until at least one request is pending (or EOF), then greedily
-   admit whatever further complete lines are already available. *)
-let fill_pending p =
-  let rec first () =
-    ignore (drain p);
-    if Queue.is_empty p.pending && not p.r.eof then begin
-      ignore (refill p.r ~block:true);
-      first ()
-    end
-  in
-  first ();
-  let rec greedy () =
-    if refill p.r ~block:false then begin
-      ignore (drain p);
-      greedy ()
-    end
-  in
-  greedy ();
-  Telemetry.record_queue_depth (Engine.telemetry p.engine)
-    ~depth:(Queue.length p.pending)
-
-let take_batch p =
-  let n = min p.max_batch (Queue.length p.pending) in
-  List.init n (fun _ -> Queue.take p.pending)
 
 (* Execute one parsed batch, group-committing its acknowledged
    mutations (one [append_all], one fsync for the whole batch) before
@@ -287,113 +20,6 @@ let execute_and_journal engine ?wal requests =
          ~appends:(List.length lines) ~last_seq
      end);
   responses
-
-let run_batch p batch =
-  let requests_or_errors =
-    List.map
-      (fun (line, received) ->
-         Protocol.parse ~received ~default_id:(next_id p) line)
-      batch
-  in
-  (* malformed lines answer immediately, in order, without poisoning
-     the rest of the batch *)
-  let requests =
-    List.filter_map Result.to_option requests_or_errors |> Array.of_list
-  in
-  let responses = execute_and_journal p.engine ?wal:p.wal requests in
-  let next_ok = ref 0 in
-  List.iter
-    (fun r ->
-       let resp =
-         match r with
-         | Error e -> Protocol.error_of_parse e
-         | Ok _ ->
-           let resp = responses.(!next_ok) in
-           incr next_ok;
-           resp
-       in
-       respond p resp)
-    requests_or_errors
-
-let serve_fd engine ?wal ?faults ?(max_pending = 256) ?max_line ~max_batch
-    ~in_fd ~out_fd () =
-  let p =
-    { engine; r = reader ?faults ?max_line in_fd; out_fd; wal; max_batch;
-      max_pending; pending = Queue.create (); counter = 0 }
-  in
-  let rec loop () =
-    fill_pending p;
-    match take_batch p with
-    | [] -> false  (* EOF with nothing left queued *)
-    | batch ->
-      run_batch p batch;
-      (* no journal => nothing acknowledged outlives the process, so
-         every entry is trivially "snapshot-clean": let the LRU bound
-         evict between batches *)
-      if p.wal = None then ignore (Engine.mark_cache_clean engine);
-      if Engine.shutdown_requested engine then true else loop ()
-  in
-  loop ()
-
-let serve_stdio engine ?wal ?faults ?max_pending ?max_line ~max_batch () =
-  ignore
-    (serve_fd engine ?wal ?faults ?max_pending ?max_line ~max_batch
-       ~in_fd:Unix.stdin ~out_fd:Unix.stdout ())
-
-(* ---------------------------------------------------------------- *)
-(* Socket front-end                                                  *)
-(* ---------------------------------------------------------------- *)
-
-(* One client dying must never take the service down: SIGPIPE is
-   masked so writes to a vanished peer fail with EPIPE instead of
-   killing the process, accept retries on EINTR, and any per-connection
-   error (reset, EPIPE, even an unexpected exception in the pump)
-   closes that connection and goes back to accepting. *)
-let serve_socket engine ?wal ?faults ?max_pending ?max_line ~max_batch ~path () =
-  let previous_sigpipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-    with Invalid_argument _ | Sys_error _ -> None
-  in
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (match Unix.lstat path with
-   | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path
-   | _ -> ()
-   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-  Fun.protect
-    ~finally:(fun () ->
-        (try Unix.close sock with Unix.Unix_error _ -> ());
-        (try Unix.unlink path with Unix.Unix_error _ -> ());
-        match previous_sigpipe with
-        | Some behavior ->
-          (try ignore (Sys.signal Sys.sigpipe behavior)
-           with Invalid_argument _ | Sys_error _ -> ())
-        | None -> ())
-    (fun () ->
-       Unix.bind sock (Unix.ADDR_UNIX path);
-       Unix.listen sock 8;
-       let stop = ref false in
-       while not !stop do
-         match Unix.accept sock with
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-         | conn, _ ->
-           let finished =
-             Fun.protect
-               ~finally:(fun () ->
-                   try Unix.close conn with Unix.Unix_error _ -> ())
-               (fun () ->
-                  try
-                    serve_fd engine ?wal ?faults ?max_pending ?max_line
-                      ~max_batch ~in_fd:conn ~out_fd:conn ()
-                  with
-                  | Unix.Unix_error
-                      ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
-                    false  (* client vanished mid-conversation *)
-                  | Sys_error _ -> false)
-           in
-           (* the shutdown may have executed even if its response write
-              died with the connection: trust the engine flag too *)
-           if finished || Engine.shutdown_requested engine then stop := true
-       done)
 
 (* ---------------------------------------------------------------- *)
 (* Recovery                                                          *)

@@ -1,103 +1,23 @@
-(** NDJSON server front-ends over an {!Engine}.
+(** Journaling and crash recovery for the NDJSON service.
 
-    Both modes speak the same framing: one request per line in, one
-    response per line out, in request order.
+    The request loop itself lives in {!Mcl_netserve.Netserve} (both
+    [serve] modes, socket and stdio); this module holds the two steps
+    that loop and the tools around it share with recovery:
+    {!execute_and_journal}, one batch through the {!Engine} plus its
+    group commit, and {!recover}, which rebuilds the resident state
+    from a snapshot and the journal.
 
-    Batching happens at the read edge: after blocking for the first
-    line, the reader greedily drains whatever further complete lines
-    are already available and hands up to [max_batch] of them to the
-    engine as one batch — that is what lets the engine coalesce
-    adjacent eco requests and fan independent designs across domains
-    under real concurrent load, while an interactive client typing one
-    line at a time still gets one-in/one-out behavior.
-
-    Resilience at the IO edge:
-
-    - admitted-but-unexecuted requests live in a bounded pending queue
-      ([max_pending]); a line arriving past the bound is answered
-      [P429-overloaded] immediately instead of queueing without bound;
-    - a request line longer than [max_line] bytes (default 1 MiB) is
-      discarded and answered [P400-line-too-long] — per-connection
-      memory is capped;
-    - reads and writes run through EINTR/partial-transfer-safe loops
-      over raw fds; the optional [faults] plan injects short reads,
-      short writes, EINTR storms and connection resets at exactly
-      those sites;
-    - with [wal] set, every acknowledged mutation is journaled and
-      fsync'd {e before} its response line is written: a response the
-      client has read implies the mutation already survives a crash
-      (see {!Mcl_resilience.Wal}). *)
-
-(** {2 IO primitives}
-
-    The scan-offset line reader and the partial-transfer-safe writer
-    are shared with {!Mcl_netserve}'s multi-connection event loop —
-    same EINTR/short-IO handling, same fault-injection sites, one
-    reader per connection. *)
-
-type reader
-
-(** [reader ?faults ?max_line fd] wraps [fd] (blocking or
-    non-blocking) in a buffered line reader. *)
-val reader :
-  ?faults:Mcl_resilience.Fault.t -> ?max_line:int -> Unix.file_descr -> reader
-
-(** Pop one complete buffered line, if any. [`Overlong] is returned
-    once when a line exceeds [max_line]; the rest of that line is then
-    discarded as it streams in. *)
-val pop_line : reader -> [ `Line of string | `Overlong ] option
-
-(** One read into the buffer. [block:false] probes with a zero-timeout
-    select first; on a non-blocking fd EAGAIN reads as [false]. Returns
-    [true] when bytes arrived. *)
-val refill : reader -> block:bool -> bool
-
-(** EOF has been observed on the fd. *)
-val reader_eof : reader -> bool
-
-val reader_max_line : reader -> int
-
-val reader_faults : reader -> Mcl_resilience.Fault.t option
-
-(** Write the whole string, resilient to partial writes and EINTR;
-    injected connection resets surface as EPIPE. *)
-val write_all :
-  ?faults:Mcl_resilience.Fault.t -> Unix.file_descr -> string -> unit
-
-(** {2 Single-connection pumps} *)
-
-(** [serve_fd engine ?wal ?faults ?max_pending ?max_line ~max_batch
-    ~in_fd ~out_fd ()] pumps requests from [in_fd] until EOF or a
-    [shutdown] request; responses are written per batch. Returns
-    [true] when stopped by [shutdown] (the socket accept loop uses
-    this to stop listening). *)
-val serve_fd :
-  Engine.t -> ?wal:Mcl_resilience.Wal.t -> ?faults:Mcl_resilience.Fault.t ->
-  ?max_pending:int -> ?max_line:int -> max_batch:int ->
-  in_fd:Unix.file_descr -> out_fd:Unix.file_descr -> unit -> bool
-
-(** stdin/stdout loop. *)
-val serve_stdio :
-  Engine.t -> ?wal:Mcl_resilience.Wal.t -> ?faults:Mcl_resilience.Fault.t ->
-  ?max_pending:int -> ?max_line:int -> max_batch:int -> unit -> unit
-
-(** [serve_socket engine ~max_batch ~path ()] listens on a Unix-domain
-    socket (an existing socket file at [path] is replaced), serving
-    connections sequentially until one of them issues [shutdown]; the
-    socket file is removed on exit. SIGPIPE is ignored for the
-    duration and a client disconnecting mid-conversation (EPIPE /
-    ECONNRESET / reset mid-read) closes that connection only — the
-    loop keeps accepting. *)
-val serve_socket :
-  Engine.t -> ?wal:Mcl_resilience.Wal.t -> ?faults:Mcl_resilience.Fault.t ->
-  ?max_pending:int -> ?max_line:int -> max_batch:int -> path:string -> unit ->
-  unit
+    With a journal, every acknowledged mutation is journaled and
+    fsync'd {e before} its response line is written: a response the
+    client has read implies the mutation already survives a crash
+    (see {!Mcl_resilience.Wal}). *)
 
 (** [execute_and_journal engine ?wal requests] is {!Engine.execute}
     plus the group-commit journal step (one
     {!Mcl_resilience.Wal.append_all} — one fsync — for every
     acknowledged mutation of the batch, in batch order) without any
-    socket IO — the unit the recovery tests drive directly. *)
+    IO to the client — the request loop's batch step, and the unit the
+    recovery tests drive directly. *)
 val execute_and_journal :
   Engine.t -> ?wal:Mcl_resilience.Wal.t -> Protocol.request array ->
   Protocol.response array

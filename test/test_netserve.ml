@@ -238,19 +238,14 @@ let test_no_starvation () =
       Alcotest.(check bool) "quiet client served in first sweep" true
         (small_index <= 1))
 
-let test_backpressure_shed () =
-  let setup = engine () in
-  ignore (Engine.handle_line setup (load_line "d"));
-  ignore (Engine.handle_line setup (legalize_line "d"));
-  let script = List.init 6 (fun i -> eco_line i (i + 1)) in
-  let t = Netserve.create setup ~max_pending:2 ~max_batch:64 () in
+(* One connection whose whole script goes out in a single write, the
+   send side then shut: returns the loop's replies in arrival order. *)
+let converse t script =
   let server_end, client_end = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   ignore (Netserve.add_conn t server_end);
-  List.iter
-    (fun line ->
-       let s = line ^ "\n" in
-       ignore (Unix.write client_end (Bytes.unsafe_of_string s) 0 (String.length s)))
-    script;
+  let s = String.concat "" (List.map (fun l -> l ^ "\n") script) in
+  if Unix.write_substring client_end s 0 (String.length s) <> String.length s
+  then Alcotest.fail "test harness: short pre-write";
   Unix.shutdown client_end Unix.SHUTDOWN_SEND;
   Netserve.run t;
   let buf = Buffer.create 4096 in
@@ -263,10 +258,17 @@ let test_backpressure_shed () =
   in
   slurp ();
   Unix.close client_end;
+  Buffer.contents buf |> String.split_on_char '\n'
+  |> List.filter (fun l -> String.trim l <> "")
+  |> List.map parse_exn
+
+let test_backpressure_shed () =
+  let setup = engine () in
+  ignore (Engine.handle_line setup (load_line "d"));
+  ignore (Engine.handle_line setup (legalize_line "d"));
+  let script = List.init 6 (fun i -> eco_line i (i + 1)) in
   let replies =
-    Buffer.contents buf |> String.split_on_char '\n'
-    |> List.filter (fun l -> String.trim l <> "")
-    |> List.map parse_exn
+    converse (Netserve.create setup ~max_pending:2 ~max_batch:64 ()) script
   in
   Alcotest.(check int) "every line answered" 6 (List.length replies);
   let shed, ok = List.partition (fun r -> status r = "error") replies in
@@ -280,6 +282,21 @@ let test_backpressure_shed () =
      first two lines were admitted *)
   Alcotest.(check (list string)) "admitted ids" [ "e0"; "e1" ]
     (List.map (str "id") ok)
+
+(* A malformed line inside a batch is answered at its position, not
+   ahead of the requests admitted before it. *)
+let test_parse_error_in_order () =
+  let replies =
+    converse
+      (Netserve.create (engine ()) ~max_batch:64 ())
+      [ {|{"id":"a","op":"stats"}|}; {|{bad|}; {|{"id":"c","op":"stats"}|} ]
+  in
+  Alcotest.(check (list string)) "request order" [ "ok"; "error"; "ok" ]
+    (List.map status replies);
+  Alcotest.(check string) "malformed line" "P401-parse-error"
+    (error_code (List.nth replies 1));
+  Alcotest.(check string) "first reply" "a" (str "id" (List.hd replies));
+  Alcotest.(check string) "last reply" "c" (str "id" (List.nth replies 2))
 
 (* -- group-commit durability at every kill point ------------------- *)
 
@@ -536,7 +553,9 @@ let () =
          Alcotest.test_case "round-robin serialization" `Quick
            test_round_robin_serialization;
          Alcotest.test_case "no starvation" `Quick test_no_starvation;
-         Alcotest.test_case "backpressure P429" `Quick test_backpressure_shed ]);
+         Alcotest.test_case "backpressure P429" `Quick test_backpressure_shed;
+         Alcotest.test_case "parse errors in request order" `Quick
+           test_parse_error_in_order ]);
       ("durability",
        [ Alcotest.test_case "kill points across snapshots" `Quick
            test_kill_points_with_snapshots;

@@ -8,6 +8,7 @@ module Json = Mcl_service.Json
 module Engine = Mcl_service.Engine
 module Protocol = Mcl_service.Protocol
 module Server = Mcl_service.Server
+module Netserve = Mcl_netserve.Netserve
 module Budget = Mcl_resilience.Budget
 module Fault = Mcl_resilience.Fault
 module Wal = Mcl_resilience.Wal
@@ -311,7 +312,7 @@ let test_fault_matrix_engine () =
     [ 1; 2; 3 ]
 
 (* ---------------------------------------------------------------- *)
-(* IO edge: serve_fd over pipes                                      *)
+(* IO edge: the request loop over a pipe pair (stdio mode)           *)
 (* ---------------------------------------------------------------- *)
 
 let read_all fd =
@@ -336,21 +337,23 @@ let write_string fd s =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
-(* Run one serve_fd conversation over pipes; returns the parsed
-   response lines and serve_fd's return value. *)
+(* Run one conversation over blocking pipes wired as the loop's stdio
+   connection; returns the parsed response lines and whether the
+   session stopped on a [shutdown] request. *)
 let serve_conversation ?faults ?max_pending ?max_line ?(max_batch = 8) input =
   let r_in, w_in = Unix.pipe () in
   let r_out, w_out = Unix.pipe () in
   let eng = engine () in
   let server =
     Domain.spawn (fun () ->
-        let fin =
-          Server.serve_fd eng ?faults ?max_pending ?max_line ~max_batch
-            ~in_fd:r_in ~out_fd:w_out ()
+        let t =
+          Netserve.create eng ?faults ?max_pending ?max_line ~max_batch ()
         in
+        ignore (Netserve.add_stdio t ~in_fd:r_in ~out_fd:w_out);
+        Netserve.run t;
         Unix.close w_out;
         Unix.close r_in;
-        fin)
+        Engine.shutdown_requested eng)
   in
   write_string w_in input;
   Unix.close w_in;
@@ -379,7 +382,7 @@ let check_io_trace what (resps, finished) =
        check_ok (what ^ " " ^ id) resp)
     [ "a"; "b"; "c"; "e" ] resps
 
-let test_serve_fd_clean () =
+let test_pipe_clean () =
   check_io_trace "clean" (serve_conversation io_trace);
   (* final unterminated line is still served at EOF *)
   let resps, finished =
@@ -389,7 +392,7 @@ let test_serve_fd_clean () =
   Alcotest.(check int) "one response" 1 (List.length resps);
   check_ok "unterminated stats" (List.hd resps)
 
-let test_serve_fd_io_faults () =
+let test_pipe_io_faults () =
   List.iter
     (fun seed ->
        List.iter
@@ -477,7 +480,8 @@ let test_socket_survives_disconnects () =
            let faults = Fault.create ~seed ~kinds:[ Fault.Conn_reset ] in
            let server =
              Domain.spawn (fun () ->
-                 Server.serve_socket eng ~faults ~max_batch:8 ~path ())
+                 Netserve.serve eng ~faults ~drain_signals:false ~max_batch:8
+                   (`Socket path))
            in
            (* connection 1: disconnect abruptly mid-conversation *)
            (match connect_retry path with
@@ -832,9 +836,9 @@ let () =
        [ Alcotest.test_case "stage/worker/clock x seeds" `Quick
            test_fault_matrix_engine ]);
       ("io-edge",
-       [ Alcotest.test_case "clean pipes" `Quick test_serve_fd_clean;
+       [ Alcotest.test_case "clean pipes" `Quick test_pipe_clean;
          Alcotest.test_case "short-read/write + eintr" `Quick
-           test_serve_fd_io_faults;
+           test_pipe_io_faults;
          Alcotest.test_case "overlong line P400" `Quick test_overlong_line;
          Alcotest.test_case "backpressure P429" `Quick test_backpressure_shed;
          Alcotest.test_case "socket survives resets" `Quick
