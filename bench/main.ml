@@ -3,7 +3,7 @@
 
    Usage:  dune exec bench/main.exe -- [section] [scale]
    Sections: table1 table2 table3 fig3 fig4 fig5 fig6 threads ablation
-             service congest resilience mgl_kernel shard exact micro all
+             service service_load congest resilience shard exact micro all
              (default: all, scale 1.0). *)
 
 open Mcl_netlist
@@ -1248,140 +1248,6 @@ let resilience ~scale () =
   Printf.printf "\nwrote BENCH_resilience.json\n\n"
 
 (* ---------------------------------------------------------------- *)
-(* MGL insertion kernel: the allocation-lean arena path vs the        *)
-(* reference cons-list path, on the Table-1 suite. Both runs legalize *)
-(* the same generated design from scratch; the two placements must be *)
-(* bit-identical (the arena kernel is an optimization, not an         *)
-(* approximation). Words/cell comes from Gc.allocated_bytes, which    *)
-(* counts every minor-heap allocation including the ones the GC       *)
-(* recycles for free — exactly the traffic the arena eliminates.      *)
-(* Also re-measures the threads sweep with per-domain arenas.         *)
-(* Emits BENCH_mgl_kernel.json.                                       *)
-(* ---------------------------------------------------------------- *)
-
-let mgl_kernel ~scale () =
-  let module Json = Mcl_service.Json in
-  Printf.printf
-    "== MGL insertion kernel: arena vs reference ==\n\
-     (same design legalized by both paths; placements must be \
-     bit-identical;\n alloc = minor-heap words per legalized cell)\n\n";
-  Printf.printf "%-20s %8s | %9s %9s %6s | %9s %9s %6s | %6s %5s\n"
-    "benchmark" "#cells" "ref c/s" "arena c/s" "speed" "ref w/c" "arena w/c"
-    "ratio" "prune%" "same";
-  let word_bytes = float_of_int (Sys.word_size / 8) in
-  let run_kernel spec kernel =
-    let d = Mcl_gen.Generator.generate spec in
-    let cfg = Mcl.Config.default in
-    Gc.full_major ();
-    let a0 = Gc.allocated_bytes () in
-    let stats, t = timed (fun () -> Mcl.Mgl.run ~kernel cfg d) in
-    let words = (Gc.allocated_bytes () -. a0) /. word_bytes in
-    assert (Mcl_eval.Legality.is_legal d);
-    (d, stats, t, words)
-  in
-  let all_equal = ref true in
-  let speedups = ref [] and alloc_ratios = ref [] in
-  let rows =
-    List.map
-      (fun spec ->
-         let d_ref, _, t_ref, w_ref = run_kernel spec `Reference in
-         let d_ar, s_ar, t_ar, w_ar = run_kernel spec `Arena in
-         let equal = Design.snapshot d_ref = Design.snapshot d_ar in
-         if not equal then all_equal := false;
-         let cells = float_of_int (max 1 s_ar.Mcl.Mgl.legalized) in
-         let k = s_ar.Mcl.Mgl.kernel in
-         let cuts = k.Mcl.Arena.cuts_evaluated + k.Mcl.Arena.cuts_pruned in
-         let prune_rate =
-           float_of_int k.Mcl.Arena.cuts_pruned /. float_of_int (max 1 cuts)
-         in
-         let ref_cps = cells /. Float.max 1e-9 t_ref in
-         let ar_cps = cells /. Float.max 1e-9 t_ar in
-         let speedup = t_ref /. Float.max 1e-9 t_ar in
-         let alloc_ratio = w_ref /. Float.max 1.0 w_ar in
-         speedups := speedup :: !speedups;
-         alloc_ratios := alloc_ratio :: !alloc_ratios;
-         Printf.printf
-           "%-20s %8d | %9.0f %9.0f %5.2fx | %9.0f %9.0f %5.1fx | %5.1f%% %5b\n%!"
-           spec.Mcl_gen.Spec.name s_ar.Mcl.Mgl.legalized ref_cps ar_cps speedup
-           (w_ref /. cells) (w_ar /. cells) alloc_ratio (prune_rate *. 100.0)
-           equal;
-         Json.Obj
-           [ ("name", Json.String spec.Mcl_gen.Spec.name);
-             ("cells", Json.Int s_ar.Mcl.Mgl.legalized);
-             ("reference_cells_per_s", Json.Float ref_cps);
-             ("arena_cells_per_s", Json.Float ar_cps);
-             ("speedup", Json.Float speedup);
-             ("reference_words_per_cell", Json.Float (w_ref /. cells));
-             ("arena_words_per_cell", Json.Float (w_ar /. cells));
-             ("alloc_ratio", Json.Float alloc_ratio);
-             ("windows_built", Json.Int k.Mcl.Arena.windows_built);
-             ("cuts_evaluated", Json.Int k.Mcl.Arena.cuts_evaluated);
-             ("cuts_pruned", Json.Int k.Mcl.Arena.cuts_pruned);
-             ("prune_rate", Json.Float prune_rate);
-             ("hiwater_int_words", Json.Int k.Mcl.Arena.hiwater_int_words);
-             ("hiwater_float_words", Json.Int k.Mcl.Arena.hiwater_float_words);
-             ("equivalent", Json.Bool equal) ])
-      (Mcl_gen.Suites.iccad2017 ~scale ())
-  in
-  Printf.printf
-    "\nGeomean: %.2fx cells/s, %.1fx fewer allocated words/cell; \
-     bit-identical on all designs: %b\n\n"
-    (geomean !speedups) (geomean !alloc_ratios) !all_equal;
-  (* threads sweep with the per-domain arenas (same design as the
-     `threads` section, so the two tables are directly comparable) *)
-  Printf.printf "Scheduler threads sweep (per-domain arenas):\n";
-  let spec =
-    match Mcl_gen.Suites.find ~scale "edit_dist_a_md2" with
-    | Some s -> s
-    | None -> assert false
-  in
-  let t_reference = ref None in
-  let thread_rows =
-    List.map
-      (fun n ->
-         let d = Mcl_gen.Generator.generate spec in
-         let cfg = { Mcl.Config.default with Mcl.Config.threads = n } in
-         let s, t = timed (fun () -> Mcl.Scheduler.run cfg d) in
-         let positions = Design.snapshot d in
-         let same =
-           match !t_reference with
-           | None ->
-             t_reference := Some positions;
-             true
-           | Some p -> p = positions
-         in
-         if not same then all_equal := false;
-         Printf.printf
-           "  threads=%d: %6.2fs (%8.0f cells/s), identical to 1-thread: %b\n%!"
-           n t
-           (float_of_int s.Mcl.Scheduler.legalized /. Float.max 1e-9 t)
-           same;
-         Json.Obj
-           [ ("threads", Json.Int n);
-             ("seconds", Json.Float t);
-             ("cells_per_s",
-              Json.Float
-                (float_of_int s.Mcl.Scheduler.legalized /. Float.max 1e-9 t));
-             ("identical", Json.Bool same) ])
-      [ 1; 2; 4 ]
-  in
-  let json =
-    Json.Obj
-      [ ("bench", Json.String "mgl_kernel");
-        ("scale", Json.Float scale);
-        ("equivalent", Json.Bool !all_equal);
-        ("geomean_speedup", Json.Float (geomean !speedups));
-        ("geomean_alloc_ratio", Json.Float (geomean !alloc_ratios));
-        ("designs", Json.List rows);
-        ("threads", Json.List thread_rows) ]
-  in
-  let oc = open_out "BENCH_mgl_kernel.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote BENCH_mgl_kernel.json\n\n"
-
-(* ---------------------------------------------------------------- *)
 (* Spatially-sharded legalization: cells/s vs domain count on wide    *)
 (* replicated designs, seam-margin sweep, thread-count invariance and *)
 (* the score-parity gate vs the sequential scheduler on the Table-1   *)
@@ -1836,7 +1702,6 @@ let () =
     service_load ~scale ();
     congest ~scale ();
     resilience ~scale ();
-    mgl_kernel ~scale ();
     shard ~scale ();
     exact ~scale ();
     micro ()
@@ -1856,12 +1721,11 @@ let () =
   | "service_load" -> service_load ~scale ()
   | "congest" -> congest ~scale ()
   | "resilience" -> resilience ~scale ()
-  | "mgl_kernel" -> mgl_kernel ~scale ()
   | "shard" -> shard ~scale ()
   | "exact" -> exact ~scale ()
   | "all" -> all ()
   | other ->
     Printf.eprintf
-      "unknown section %S (use table1|table2|table3|fig3|fig4|fig5|fig6|threads|ablation|service|service_load|congest|resilience|mgl_kernel|shard|exact|micro|all)\n"
+      "unknown section %S (use table1|table2|table3|fig3|fig4|fig5|fig6|threads|ablation|service|service_load|congest|resilience|shard|exact|micro|all)\n"
       other;
     exit 2

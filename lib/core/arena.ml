@@ -32,7 +32,6 @@ module Ibuf = struct
 
   let truncate b n = b.len <- n
   let fill b n v = set_len b n; Array.fill b.a 0 n v
-  let words b = Array.length b.a
 end
 
 module Fbuf = struct
@@ -60,8 +59,6 @@ module Fbuf = struct
   let set_len b n =
     ensure b n;
     b.len <- n
-
-  let words b = Array.length b.a
 end
 
 (* Epoch-stamped int map over a dense key range: [next_epoch] is an
@@ -101,7 +98,6 @@ module Marks = struct
 
   (* value for [k], or -1 when unmarked this epoch *)
   let get m k = if m.stamp.(k) = m.epoch then m.value.(k) else -1
-  let words m = 2 * Array.length m.stamp
 end
 
 (* ------------------------------------------------------------------ *)
@@ -172,13 +168,9 @@ type counters = {
   windows_built : int;
   cuts_evaluated : int;  (** cuts that ran the DPs + curve *)
   cuts_pruned : int;     (** cuts skipped by the lower bound *)
-  hiwater_int_words : int;    (** peak int scratch footprint, in words *)
-  hiwater_float_words : int;  (** peak float scratch footprint *)
 }
 
-let zero_counters =
-  { windows_built = 0; cuts_evaluated = 0; cuts_pruned = 0;
-    hiwater_int_words = 0; hiwater_float_words = 0 }
+let zero_counters = { windows_built = 0; cuts_evaluated = 0; cuts_pruned = 0 }
 
 type t = {
   marks : Marks.t;  (* cell id -> local index, epoch per window *)
@@ -242,8 +234,6 @@ type t = {
   mutable windows_built : int;
   mutable cuts_evaluated : int;
   mutable cuts_pruned : int;
-  mutable hiwater_int : int;
-  mutable hiwater_float : int;
 }
 
 let create () =
@@ -270,56 +260,20 @@ let create () =
     pr_idx = Ibuf.create 64; pr_c2 = Ibuf.create 64;
     imp_l = Fbuf.create 64; imp_r = Fbuf.create 64;
     curve = Curve.create ();
-    windows_built = 0; cuts_evaluated = 0; cuts_pruned = 0;
-    hiwater_int = 0; hiwater_float = 0 }
-
-let int_words a =
-  Marks.words a.marks
-  + Ibuf.words a.ids + Ibuf.words a.cur + Ibuf.words a.wid + Ibuf.words a.et
-  + Ibuf.words a.gpx + Ibuf.words a.c2
-  + Ibuf.words a.occ_off + Ibuf.words a.occ_row + Ibuf.words a.occ_pos
-  + Ibuf.words a.cs_off + Ibuf.words a.cs_lo + Ibuf.words a.cs_hi
-  + Ibuf.words a.ss_off + Ibuf.words a.ss_lo + Ibuf.words a.ss_hi
-  + Ibuf.words a.ss_let + Ibuf.words a.ss_ret
-  + Ibuf.words a.locs_off + Ibuf.words a.locs + Ibuf.words a.loc_ss
-  + Ibuf.words a.ob_lo + Ibuf.words a.ob_hi + Ibuf.words a.ob_et
-  + Ibuf.words a.order
-  + Ibuf.words a.dp_m + Ibuf.words a.dp_bigm
-  + Ibuf.words a.dp_d + Ibuf.words a.dp_dr
-  + Ibuf.words a.best_d + Ibuf.words a.best_dr
-  + Ibuf.words a.bounds
-  + Ibuf.words a.ci_lo + Ibuf.words a.ci_hi + Ibuf.words a.ci_ss
-  + Ibuf.words a.cut_x + Ibuf.words a.cut_idx
-  + Ibuf.words a.pr_idx + Ibuf.words a.pr_c2
-  + Curve.int_words a.curve
-
-let float_words a =
-  Fbuf.words a.wgt + Fbuf.words a.cut_lb + Fbuf.words a.imp_l
-  + Fbuf.words a.imp_r + Curve.float_words a.curve
-
-let note_hiwater a =
-  let iw = int_words a and fw = float_words a in
-  if iw > a.hiwater_int then a.hiwater_int <- iw;
-  if fw > a.hiwater_float then a.hiwater_float <- fw
+    windows_built = 0; cuts_evaluated = 0; cuts_pruned = 0 }
 
 let counters a =
   { windows_built = a.windows_built;
     cuts_evaluated = a.cuts_evaluated;
-    cuts_pruned = a.cuts_pruned;
-    hiwater_int_words = a.hiwater_int;
-    hiwater_float_words = a.hiwater_float }
+    cuts_pruned = a.cuts_pruned }
 
-(* counter delta across a run; high-water marks are absolute peaks *)
+(* counter delta across a run *)
 let diff ~(before : counters) ~(after : counters) =
   { windows_built = after.windows_built - before.windows_built;
     cuts_evaluated = after.cuts_evaluated - before.cuts_evaluated;
-    cuts_pruned = after.cuts_pruned - before.cuts_pruned;
-    hiwater_int_words = after.hiwater_int_words;
-    hiwater_float_words = after.hiwater_float_words }
+    cuts_pruned = after.cuts_pruned - before.cuts_pruned }
 
 let merge (a : counters) (b : counters) =
   { windows_built = a.windows_built + b.windows_built;
     cuts_evaluated = a.cuts_evaluated + b.cuts_evaluated;
-    cuts_pruned = a.cuts_pruned + b.cuts_pruned;
-    hiwater_int_words = max a.hiwater_int_words b.hiwater_int_words;
-    hiwater_float_words = max a.hiwater_float_words b.hiwater_float_words }
+    cuts_pruned = a.cuts_pruned + b.cuts_pruned }

@@ -25,9 +25,6 @@ module Ibuf : sig
 
   (** [fill b n v]: len [n], all [v] *)
   val fill : t -> int -> int -> unit
-
-  (** current capacity, in words *)
-  val words : t -> int
 end
 
 (** Growable float buffer. *)
@@ -39,7 +36,6 @@ module Fbuf : sig
   val ensure : t -> int -> unit
   val push : t -> float -> unit
   val set_len : t -> int -> unit
-  val words : t -> int
 end
 
 (** Epoch-stamped int map over a dense key range; [next_epoch] clears
@@ -58,8 +54,6 @@ module Marks : sig
 
   (** the value, or [-1] when unmarked *)
   val get : t -> int -> int
-
-  val words : t -> int
 end
 
 (** In-place sort of [a.(0 .. len-1)] under the strict order [lt];
@@ -76,8 +70,6 @@ type counters = {
   windows_built : int;
   cuts_evaluated : int;  (** cuts that ran the DPs + curve *)
   cuts_pruned : int;     (** cuts skipped by the lower bound *)
-  hiwater_int_words : int;    (** peak int scratch footprint, in words *)
-  hiwater_float_words : int;  (** peak float scratch footprint *)
 }
 
 val zero_counters : counters
@@ -135,19 +127,14 @@ type t = {
   mutable windows_built : int;
   mutable cuts_evaluated : int;
   mutable cuts_pruned : int;
-  mutable hiwater_int : int;
-  mutable hiwater_float : int;
 }
 
 val create : unit -> t
 
-(** Record the current buffer footprint into the high-water marks. *)
-val note_hiwater : t -> unit
-
 val counters : t -> counters
 
-(** Counter delta across a run; high-water marks are absolute peaks. *)
+(** Counter delta across a run. *)
 val diff : before:counters -> after:counters -> counters
 
-(** Sum counts, max the high-water marks (for per-domain arenas). *)
+(** Sum the counts (for per-domain arenas). *)
 val merge : counters -> counters -> counters

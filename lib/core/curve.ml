@@ -259,10 +259,3 @@ let breakpoints t ~lo ~hi =
     end
   done;
   !out
-
-(* scratch footprint, for the arena high-water accounting *)
-let int_words t =
-  Array.length t.pk + Array.length t.pcur + Array.length t.pgp
-  + Array.length t.pdist + Array.length t.xs
-
-let float_words t = Array.length t.pw + Array.length t.dvs

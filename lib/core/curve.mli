@@ -49,9 +49,3 @@ val minimize_many : t -> (int * int) array -> (int * float) array
 (** Breakpoint x positions within (lo, hi), for tests and the Fig. 4
     bench rendering. *)
 val breakpoints : t -> lo:int -> hi:int -> int list
-
-(** Current buffer capacities in words, for scratch-arena high-water
-    accounting. *)
-val int_words : t -> int
-
-val float_words : t -> int

@@ -10,8 +10,7 @@ type stats = {
   kernel : Arena.counters;
 }
 
-let relegalize ?(targets = []) ?budget ?(greedy = false) ?kernel config design
-    ~cells =
+let relegalize ?(targets = []) ?budget ?(greedy = false) config design ~cells =
   let eco = List.sort_uniq Int.compare (cells @ List.map fst targets) in
   (* validate before touching any anchor, so a rejected request leaves
      the design bit-identical (the service relies on this) *)
@@ -66,7 +65,7 @@ let relegalize ?(targets = []) ?budget ?(greedy = false) ?kernel config design
       eco
     |> Array.of_list
   in
-  let s = Mgl.run_with_ctx ?budget ~greedy ?kernel ctx ~order in
+  let s = Mgl.run_with_ctx ?budget ~greedy ctx ~order in
   let total_disp, max_disp =
     List.fold_left
       (fun (total, mx) id ->

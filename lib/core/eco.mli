@@ -49,5 +49,4 @@ type stats = {
     [budget]). *)
 val relegalize :
   ?targets:(int * (int * int)) list -> ?budget:Mcl_resilience.Budget.t ->
-  ?greedy:bool -> ?kernel:[ `Arena | `Reference ] ->
-  Config.t -> Design.t -> cells:int list -> stats
+  ?greedy:bool -> Config.t -> Design.t -> cells:int list -> stats

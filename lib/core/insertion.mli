@@ -59,16 +59,11 @@ type candidate = {
     Runs the allocation-lean arena kernel: scratch comes from [?arena]
     (default [ctx.arena]), cuts are evaluated cheapest-lower-bound
     first, and cuts whose bound exceeds the incumbent cost are skipped
-    entirely. Bit-identical to {!best_reference}. Counters accumulate
-    on the arena used. [?check_pruning] re-evaluates every pruned cut
-    and fails if one would have beaten the incumbent (tests only). *)
+    entirely. Counters accumulate on the arena used. [?check_pruning]
+    re-evaluates every pruned cut and fails if one would have beaten
+    the incumbent (tests only). *)
 val best :
   ?check_pruning:bool -> ?arena:Arena.t ->
-  ctx -> target:int -> window:Mcl_geom.Rect.t -> candidate option
-
-(** The original cons-list evaluation path, kept as the oracle for the
-    equivalence test suite. Same results as {!best}, more allocation. *)
-val best_reference :
   ctx -> target:int -> window:Mcl_geom.Rect.t -> candidate option
 
 (** Commit a candidate: shifts local cells, moves the target and

@@ -126,7 +126,7 @@ let initial_window config design (tgt : Cell.t) ~h ~w ~util =
     (Rect.make ~xl:(tgt.Cell.gp_x - hw) ~yl:(tgt.Cell.gp_y - hh)
        ~xh:(tgt.Cell.gp_x + w + hw) ~yh:(tgt.Cell.gp_y + h + hh))
 
-let legalize_one ?budget ?(kernel = `Arena) ctx ~target ~growths =
+let legalize_one ?budget ctx ~target ~growths =
   let design = ctx.Insertion.design in
   let config = ctx.Insertion.config in
   let tgt = design.Design.cells.(target) in
@@ -138,12 +138,7 @@ let legalize_one ?budget ?(kernel = `Arena) ctx ~target ~growths =
      cells already re-inserted) *)
   let rec attempt window tries =
     Mcl_resilience.Budget.check budget;
-    let cand =
-      match kernel with
-      | `Arena -> Insertion.best ctx ~target ~window
-      | `Reference -> Insertion.best_reference ctx ~target ~window
-    in
-    match cand with
+    match Insertion.best ctx ~target ~window with
     | Some cand ->
       Insertion.apply ctx ~target cand;
       true
@@ -176,7 +171,7 @@ let default_order design =
     ids;
   ids
 
-let run_with_ctx ?budget ?(greedy = false) ?(kernel = `Arena) ctx ~order =
+let run_with_ctx ?budget ?(greedy = false) ctx ~order =
   let growths = ref 0 and fallbacks = ref 0 and legalized = ref 0 in
   let kernel_before = Arena.counters ctx.Insertion.arena in
   Array.iter
@@ -184,7 +179,7 @@ let run_with_ctx ?budget ?(greedy = false) ?(kernel = `Arena) ctx ~order =
        (* [greedy] skips the windowed search entirely: first-fit only,
           bounded cost per cell — the degraded-mode answer under
           deadline pressure, so it takes no budget itself *)
-       let ok = (not greedy) && legalize_one ?budget ~kernel ctx ~target ~growths in
+       let ok = (not greedy) && legalize_one ?budget ctx ~target ~growths in
        let ok =
          if ok then true
          else begin
@@ -228,7 +223,7 @@ let congest_map config design =
          ~bin_sites:config.Config.congestion_bin_sites design)
   else None
 
-let run ?(disp_from = `Gp) ?budget ?kernel config design =
+let run ?(disp_from = `Gp) ?budget config design =
   let segments =
     Segment.build ~boundary_gap:(boundary_gap config design)
       ~respect_fences:config.Config.consider_fences design
@@ -245,4 +240,4 @@ let run ?(disp_from = `Gp) ?budget ?kernel config design =
     Insertion.make_ctx ~disp_from ?congest:(congest_map config design) config
       design ~placement ~segments ~routability
   in
-  run_with_ctx ?budget ?kernel ctx ~order:(default_order design)
+  run_with_ctx ?budget ctx ~order:(default_order design)

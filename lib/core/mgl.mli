@@ -13,21 +13,18 @@ type stats = {
   fallbacks : int;        (** cells placed by the emergency first-fit *)
   kernel : Arena.counters;
       (** insertion-kernel counters for this run (windows built, cuts
-          evaluated/pruned, scratch high-water marks) *)
+          evaluated/pruned) *)
 }
 
-(** [run ?disp_from ?budget ?kernel config design] legalizes all
-    movable cells in place. Raises [Failure] if some cell cannot be
-    placed at all (the design is over-capacity). [budget] is polled at
-    every window attempt; an expired budget raises
+(** [run ?disp_from ?budget config design] legalizes all movable cells
+    in place. Raises {!Mcl_analysis.Diagnostic.Failed} with
+    [S301-unplaceable-cell] if some cell cannot be placed at all (the
+    design is over-capacity). [budget] is polled at every window
+    attempt; an expired budget raises
     {!Mcl_resilience.Budget.Deadline_exceeded} (the caller is expected
-    to roll back). [kernel] selects the insertion evaluation path:
-    the allocation-lean arena kernel (default) or the reference
-    cons-list path — both produce bit-identical placements. Returns
-    per-run statistics. *)
+    to roll back). Returns per-run statistics. *)
 val run :
   ?disp_from:[ `Gp | `Current ] -> ?budget:Mcl_resilience.Budget.t ->
-  ?kernel:[ `Arena | `Reference ] ->
   Config.t -> Design.t -> stats
 
 (** As {!run}, but reusing an existing context (placement must contain
@@ -37,8 +34,7 @@ val run :
     mode the service answers with under deadline pressure (it
     therefore ignores [budget]). *)
 val run_with_ctx :
-  ?budget:Mcl_resilience.Budget.t -> ?greedy:bool ->
-  ?kernel:[ `Arena | `Reference ] -> Insertion.ctx ->
+  ?budget:Mcl_resilience.Budget.t -> ?greedy:bool -> Insertion.ctx ->
   order:int array -> stats
 
 (** Boundary padding used when building segments for this config:
@@ -70,8 +66,8 @@ val fallback_place : ?relax_routability:bool -> Insertion.ctx -> int -> bool
     to {!fallback_place}). [growths] accumulates window enlargements.
     Exposed for the sharded scheduler's boundary-reconciliation pass. *)
 val legalize_one :
-  ?budget:Mcl_resilience.Budget.t -> ?kernel:[ `Arena | `Reference ] ->
-  Insertion.ctx -> target:int -> growths:int ref -> bool
+  ?budget:Mcl_resilience.Budget.t -> Insertion.ctx -> target:int ->
+  growths:int ref -> bool
 
 (** Fraction of the die area occupied by cells (alias of
     {!Insertion.utilization}; contexts hold it precomputed). *)

@@ -4,7 +4,7 @@
     the solver enumerates every site/row assignment of the instance
     cells (everything else is an obstacle) and returns the assignment
     minimizing the paper's Eq. 1/2 objective — the same per-cell cost
-    {!Mcl.Insertion.evaluate} charges: curve-weighted displacement from
+    {!Mcl.Insertion.best} charges: curve-weighted displacement from
     the cell's anchor, the row term scaled by row-height/site-width,
     the IO-conflict penalty and the optional soft congestion penalty.
     Fences, power-rail parity, edge-spacing rules and routability

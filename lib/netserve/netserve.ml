@@ -256,7 +256,7 @@ let guarded c f =
     kill_conn c
 
 let shed t c line ~received =
-  Telemetry.record_shed (Engine.telemetry t.engine);
+  Telemetry.add (Engine.telemetry t.engine) Sheds 1;
   let default_id = next_id c in
   let resp =
     match Protocol.parse ~received ~default_id line with
@@ -340,8 +340,10 @@ let snapshot t =
     Snapshot.write ~cache:(Engine.cache t.engine) ~upto_seq
       ~path:(Snapshot.path_for wal_path);
     let dropped = Wal.truncate w in
-    Telemetry.record_snapshot (Engine.telemetry t.engine) ~seq:upto_seq
-      ~truncated_bytes:dropped;
+    let tel = Engine.telemetry t.engine in
+    Telemetry.add tel Snapshots 1;
+    Telemetry.keep_max tel Last_snapshot_seq upto_seq;
+    Telemetry.add tel Snapshot_truncated_bytes dropped;
     ignore (Engine.mark_cache_clean t.engine);
     t.appends_since_snapshot <- 0
   | _ -> ()
@@ -349,11 +351,8 @@ let snapshot t =
 let run_one_batch t ~on_commit =
   let batch = build_batch t in
   if batch <> [] then begin
-    Telemetry.record_queue_depth (Engine.telemetry t.engine)
-      ~depth:
-        (List.fold_left
-           (fun acc c -> max acc (Queue.length c.pending))
-           0 t.conns);
+    Telemetry.keep_max (Engine.telemetry t.engine) Queue_depth_max
+      (List.fold_left (fun acc c -> max acc (Queue.length c.pending)) 0 t.conns);
     Telemetry.set_connections (Engine.telemetry t.engine)
       (List.map (fun c -> (c.id, Queue.length c.pending)) t.conns);
     let parsed =

@@ -11,19 +11,19 @@ type t = {
   config : Mcl.Config.t;
   threads : int;
   faults : Fault.t option;
-  dedup_window : int;
   mutable shutdown : bool;
 }
 
-let create ?(threads = 1) ?max_designs ?faults ?(dedup_window = 64) ~config () =
-  if dedup_window < 1 then
-    invalid_arg "Engine.create: dedup_window must be >= 1";
+(* each design's idempotency window: the last [dedup_window]
+   acknowledged [req_id]s are retriable as no-ops *)
+let dedup_window = 64
+
+let create ?(threads = 1) ?max_designs ?faults ~config () =
   { cache = Cache.create ?max_designs ();
     telemetry = Telemetry.create ();
     config;
     threads = max 1 threads;
     faults;
-    dedup_window;
     shutdown = false }
 
 let threads t = t.threads
@@ -34,8 +34,7 @@ let cache t = t.cache
 
 let note_evicted t = function
   | [] -> ()
-  | evicted ->
-    Telemetry.record_evictions t.telemetry ~count:(List.length evicted)
+  | evicted -> Telemetry.add t.telemetry Cache_evictions (List.length evicted)
 
 (* Called by the servers at durability points: after a snapshot, or
    after every batch when no journal is configured (nothing
@@ -74,15 +73,25 @@ let inject_stage t ~stage =
       [ Diagnostic.error ~code:"S390-injected-fault" ~stage
           (Printf.sprintf "injected fault: stage %S forced to fail" stage) ]
 
-let mk_metrics ?(kernel = Mcl.Arena.zero_counters) ~req ~started ~finished
+let mk_metrics ?(work = Mcl.Arena.zero_counters) ~req ~started ~finished
     ~cells ~disp ~coalesced () =
   { Protocol.queue_wait_s = Float.max 0.0 (started -. req.Protocol.received);
     service_s = finished -. started;
     cells_touched = cells;
     disp_delta_rows = disp;
     coalesced;
-    cuts_evaluated = kernel.Mcl.Arena.cuts_evaluated;
-    cuts_pruned = kernel.Mcl.Arena.cuts_pruned }
+    cuts_evaluated = work.Mcl.Arena.cuts_evaluated;
+    cuts_pruned = work.Mcl.Arena.cuts_pruned }
+
+(* one budget expiry; [degraded] when the greedy fallback answered *)
+let note_deadline t ~degraded =
+  Telemetry.add t.telemetry Deadline_exceeded 1;
+  if degraded then Telemetry.add t.telemetry Degraded 1
+
+let note_kernel t (k : Mcl.Arena.counters) =
+  Telemetry.add t.telemetry Windows_built k.Mcl.Arena.windows_built;
+  Telemetry.add t.telemetry Cuts_evaluated k.Mcl.Arena.cuts_evaluated;
+  Telemetry.add t.telemetry Cuts_pruned k.Mcl.Arena.cuts_pruned
 
 let account t resp ~op =
   let m = resp.Protocol.metrics in
@@ -188,7 +197,7 @@ let total_disp_rows = Mcl_eval.Metrics.total_displacement_rows
    response is wal-stripped — a replayed answer must never be
    journaled again. Errors are not registered: an unacknowledged
    request is free to retry for real. *)
-let register_dedup t (entry : Cache.entry) (req : Protocol.request) resp =
+let register_dedup (entry : Cache.entry) (req : Protocol.request) resp =
   match resp.Protocol.result with
   | Error _ -> ()
   | Ok _ ->
@@ -200,7 +209,7 @@ let register_dedup t (entry : Cache.entry) (req : Protocol.request) resp =
      | ids ->
        let stored = { resp with Protocol.wal = None } in
        List.iter
-         (fun rid -> Cache.dedup_add ~window:t.dedup_window entry rid stored)
+         (fun rid -> Cache.dedup_add ~window:dedup_window entry rid stored)
          ids)
 
 let exec_load t req ~key ~source =
@@ -255,7 +264,7 @@ let exec_load t req ~key ~source =
              ("source", Json.String source_name);
              ("gp_hpwl", Json.Int gp_hpwl) ])
     in
-    register_dedup t entry req resp;
+    register_dedup entry req resp;
     resp
 
 let exec_legalize t (entry : Cache.entry) req ~greedy:greedy_op =
@@ -265,7 +274,7 @@ let exec_legalize t (entry : Cache.entry) req ~greedy:greedy_op =
   let before_disp = total_disp_rows design in
   (* common tail of every successful variant (full, greedy, degraded):
      refresh legality/congestion state, journal what was applied *)
-  let finish ?kernel ~degraded mode_fields =
+  let finish ?work ~degraded mode_fields =
     let violations = Mcl_eval.Legality.check design in
     entry.Cache.legalized <- violations = [];
     entry.Cache.dirty <- true;
@@ -274,18 +283,13 @@ let exec_legalize t (entry : Cache.entry) req ~greedy:greedy_op =
     (* a full pipeline moves most cells: rebuilding the tracked map is
        cheaper than diffing it move by move *)
     Option.iter Congestion.rebuild entry.Cache.congest;
-    if degraded then Telemetry.record_deadline t.telemetry ~degraded:true;
-    Option.iter
-      (fun (k : Mcl.Arena.counters) ->
-         Telemetry.record_kernel t.telemetry ~windows:k.Mcl.Arena.windows_built
-           ~evaluated:k.Mcl.Arena.cuts_evaluated
-           ~pruned:k.Mcl.Arena.cuts_pruned)
-      kernel;
+    if degraded then note_deadline t ~degraded:true;
+    Option.iter (note_kernel t) work;
     let finished = now t in
     Protocol.ok ~id ~op:"legalize"
       ~wal:(Protocol.to_wire req ~greedy:(greedy_op || degraded))
       ~metrics:
-        (mk_metrics ?kernel ~req ~started ~finished
+        (mk_metrics ?work ~req ~started ~finished
            ~cells:(Design.num_cells design)
            ~disp:(total_disp_rows design -. before_disp)
            ~coalesced:1 ())
@@ -296,7 +300,7 @@ let exec_legalize t (entry : Cache.entry) req ~greedy:greedy_op =
           @ mode_fields))
   in
   let fail ?(deadline = false) exn =
-    if deadline then Telemetry.record_deadline t.telemetry ~degraded:false;
+    if deadline then note_deadline t ~degraded:false;
     let finished = now t in
     error_of_exn ~id ~op:"legalize" exn
       ~metrics:(mk_metrics ~req ~started ~finished ~cells:0 ~disp:0.0 ~coalesced:1 ())
@@ -325,7 +329,7 @@ let exec_legalize t (entry : Cache.entry) req ~greedy:greedy_op =
     | report ->
       let mgl = report.Mcl.Pipeline.mgl_stats in
       let k = mgl.Mcl.Scheduler.kernel in
-      finish ~kernel:k ~degraded:false
+      finish ~work:k ~degraded:false
         [ ("mode", Json.String "full");
           ("mgl",
            Json.Obj
@@ -428,8 +432,7 @@ let exec_refine t (entry : Cache.entry) req ~k ~node_budget =
            ("legal", Json.Bool (violations = [])) ])
   | exception exn ->
     (match exn with
-     | Budget.Deadline_exceeded _ ->
-       Telemetry.record_deadline t.telemetry ~degraded:false
+     | Budget.Deadline_exceeded _ -> note_deadline t ~degraded:false
      | _ -> ());
     let finished = now t in
     error_of_exn ~id ~op:"refine" exn
@@ -629,10 +632,9 @@ let rec exec_eco_run t (entry : Cache.entry) run =
     (match (entry.Cache.congest, pos_before) with
      | Some m, Some before -> Congestion.sync m ~before
      | _ -> ());
-    if degraded then Telemetry.record_deadline t.telemetry ~degraded:true;
+    if degraded then note_deadline t ~degraded:true;
     let k = stats.Mcl.Eco.kernel in
-    Telemetry.record_kernel t.telemetry ~windows:k.Mcl.Arena.windows_built
-      ~evaluated:k.Mcl.Arena.cuts_evaluated ~pruned:k.Mcl.Arena.cuts_pruned;
+    note_kernel t k;
     (* the journal records the run as it was applied: one merged eco,
        greedy iff the placement actually used the greedy path — replay
        re-executes that single request and lands on identical bits *)
@@ -676,7 +678,7 @@ let rec exec_eco_run t (entry : Cache.entry) run =
                   member: only the journaled rank-0 response carries it
                   so aggregation never double counts *)
                (mk_metrics
-                  ?kernel:(if rank = 0 then Some k else None)
+                  ?work:(if rank = 0 then Some k else None)
                   ~req ~started ~finished ~cells:(List.length mine)
                   ~disp ~coalesced ())
              (Json.Obj
@@ -695,7 +697,7 @@ let rec exec_eco_run t (entry : Cache.entry) run =
       run
   in
   let fail ?(deadline = false) exn =
-    if deadline then Telemetry.record_deadline t.telemetry ~degraded:false;
+    if deadline then note_deadline t ~degraded:false;
     let finished = now t in
     List.map
       (fun (i, req) ->
@@ -780,7 +782,7 @@ let exec_group t (key, group) =
          let replayed =
            List.map
              (fun (i, req) ->
-                Telemetry.record_dedup_hit t.telemetry;
+                Telemetry.add t.telemetry Dedup_hits 1;
                 let resp =
                   match req.Protocol.req_id with
                   | Some rid ->
@@ -799,7 +801,7 @@ let exec_group t (key, group) =
                List.iter
                  (fun (i, resp) ->
                     match List.assoc_opt i fresh with
-                    | Some req -> register_dedup t entry req resp
+                    | Some req -> register_dedup entry req resp
                     | None -> ())
                  results;
                results)
@@ -823,21 +825,24 @@ let worker_death_responses group =
 
 let exec_health t req =
   let started = now t in
-  let s = Telemetry.snapshot t.telemetry in
+  let tel = t.telemetry in
   let pending =
-    List.fold_left (fun acc (_, depth) -> acc + depth) 0 s.Telemetry.connections
+    List.fold_left
+      (fun acc (_, depth) -> acc + depth)
+      0 (Telemetry.connections tel)
   in
   let finished = now t in
   Protocol.ok ~id:req.Protocol.id ~op:"health"
     ~metrics:(mk_metrics ~req ~started ~finished ~cells:0 ~disp:0.0 ~coalesced:1 ())
     (Json.Obj
-       [ ("uptime_s", Json.Float s.Telemetry.uptime_s);
-         ("wal_last_seq", Json.Int s.Telemetry.wal_last_seq);
-         ("snapshot_seq", Json.Int s.Telemetry.last_snapshot_seq);
+       [ ("uptime_s", Json.Float (Telemetry.uptime_s tel));
+         ("wal_last_seq", Json.Int (Telemetry.get tel Wal_last_seq));
+         ("snapshot_seq", Json.Int (Telemetry.get tel Last_snapshot_seq));
          ("pending", Json.Int pending);
          ("designs", Json.Int (Cache.count t.cache));
-         ("corruption_detected", Json.Bool s.Telemetry.corruption_detected);
-         ("dedup_hits", Json.Int s.Telemetry.dedup_hits) ])
+         ("corruption_detected",
+          Json.Bool (Telemetry.corruption_detected tel));
+         ("dedup_hits", Json.Int (Telemetry.get tel Dedup_hits)) ])
 
 let exec_global t (i, req) =
   let resp =
@@ -855,7 +860,7 @@ let exec_global t (i, req) =
       in
       (match replay with
        | Some resp ->
-         Telemetry.record_dedup_hit t.telemetry;
+         Telemetry.add t.telemetry Dedup_hits 1;
          resp
        | None -> exec_load t req ~key ~source)
     | Protocol.Stats -> exec_stats t req
@@ -872,7 +877,8 @@ let exec_global t (i, req) =
   [ (i, resp) ]
 
 let execute t requests =
-  Telemetry.record_batch t.telemetry ~size:(Array.length requests);
+  Telemetry.add t.telemetry Batches 1;
+  Telemetry.keep_max t.telemetry Max_batch (Array.length requests);
   let responses = Array.make (Array.length requests) None in
   let file results =
     List.iter
@@ -928,9 +934,8 @@ let execute t requests =
            ~code:"P500-internal-error" "request was not executed")
     responses
 
-let handle_line ?now:stamp t line =
-  let stamp = match stamp with Some s -> s | None -> now t in
-  match Protocol.parse ~received:stamp ~default_id:"req-0" line with
+let handle_line t line =
+  match Protocol.parse ~received:(now t) ~default_id:"req-0" line with
   | Error e -> Protocol.to_line (Protocol.error_of_parse e)
   | Ok req ->
     let resp = (execute t [| req |]).(0) in

@@ -53,18 +53,16 @@
 
 type t
 
-(** [create ?threads ?max_designs ?faults ?dedup_window ~config ()] —
-    [threads] sizes the dispatch pool (default 1 = everything on the
-    control thread); [max_designs] bounds the design cache with LRU
-    eviction (default: unbounded, see {!Cache}); [faults] arms a
-    fault-injection plan (default: none, all hooks free);
-    [dedup_window] (default 64, >= 1) bounds each design's
-    idempotency window — the last [dedup_window] acknowledged
-    [req_id]s are retriable as no-ops; [config] is the base
-    legalization config used by [legalize] and [eco]. *)
+(** [create ?threads ?max_designs ?faults ~config ()] — [threads]
+    sizes the dispatch pool (default 1 = everything on the control
+    thread); [max_designs] bounds the design cache with LRU eviction
+    (default: unbounded, see {!Cache}); [faults] arms a fault-injection
+    plan (default: none, all hooks free); [config] is the base
+    legalization config used by [legalize] and [eco]. Each design's
+    idempotency window holds its last 64 acknowledged [req_id]s. *)
 val create :
   ?threads:int -> ?max_designs:int -> ?faults:Mcl_resilience.Fault.t ->
-  ?dedup_window:int -> config:Mcl.Config.t -> unit -> t
+  config:Mcl.Config.t -> unit -> t
 
 val threads : t -> int
 
@@ -85,9 +83,9 @@ val mark_cache_clean : t -> string list
 val execute : t -> Protocol.request array -> Protocol.response array
 
 (** Convenience single-request path used by tests and simple clients:
-    parse one line (stamped [now], defaulting to the current time),
-    execute it alone, render the response line. *)
-val handle_line : ?now:float -> t -> string -> string
+    parse one line (stamped with the current time), execute it alone,
+    render the response line. *)
+val handle_line : t -> string -> string
 
 (** True once a [shutdown] request has been executed. *)
 val shutdown_requested : t -> bool

@@ -97,7 +97,7 @@ let quantile t q =
     Float.max t.min_v (Float.min t.max_v v)
   end
 
-let to_json ?(quantiles = [ 0.50; 0.95; 0.99 ]) t =
+let to_json t =
   let qname q =
     (* 0.5 -> "p50", 0.99 -> "p99", 0.999 -> "p99.9" *)
     let pct = q *. 100.0 in
@@ -110,4 +110,6 @@ let to_json ?(quantiles = [ 0.50; 0.95; 0.99 ]) t =
        ("mean", Json.Float (mean t));
        ("min", Json.Float (min_value t));
        ("max", Json.Float (max_value t)) ]
-     @ List.map (fun q -> (qname q, Json.Float (quantile t q))) quantiles)
+     @ List.map
+         (fun q -> (qname q, Json.Float (quantile t q)))
+         [ 0.50; 0.95; 0.99 ])

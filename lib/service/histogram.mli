@@ -42,6 +42,5 @@ val max_value : t -> float
     empty. *)
 val quantile : t -> float -> float
 
-(** Render as [{count, mean, min, max, p50, p95, p99}] (quantile keys
-    follow [quantiles], default [[0.5; 0.95; 0.99]]). *)
-val to_json : ?quantiles:float list -> t -> Json.t
+(** Render as [{count, mean, min, max, p50, p95, p99}]. *)
+val to_json : t -> Json.t

@@ -16,8 +16,10 @@ let execute_and_journal engine ?wal requests =
      in
      if lines <> [] then begin
        let last_seq = Wal.append_all w lines in
-       Telemetry.record_wal_group (Engine.telemetry engine)
-         ~appends:(List.length lines) ~last_seq
+       let tel = Engine.telemetry engine in
+       Telemetry.add tel Wal_appends (List.length lines);
+       Telemetry.add tel Wal_groups 1;
+       Telemetry.keep_max tel Wal_last_seq last_seq
      end);
   responses
 
@@ -77,10 +79,10 @@ let recover ?(best_effort = false) engine ~path =
   in
   let report = Wal.read ~path in
   let wal_corrupt = Wal.corrupt report in
-  Telemetry.record_recovery (Engine.telemetry engine)
-    ~torn_tail:report.Wal.torn_tail
-    ~trailing_garbage:report.Wal.trailing_garbage
-    ~corrupt:(wal_corrupt || snapshot_corrupt > 0);
+  let tel = Engine.telemetry engine in
+  Telemetry.add tel Wal_torn_tail report.Wal.torn_tail;
+  Telemetry.add tel Wal_trailing_garbage report.Wal.trailing_garbage;
+  if wal_corrupt || snapshot_corrupt > 0 then Telemetry.latch_corruption tel;
   let base =
     { replayed = 0; failed = snap_failed; torn_tail = report.Wal.torn_tail;
       trailing_garbage = report.Wal.trailing_garbage; snapshot_seq;
@@ -129,5 +131,5 @@ let recover ?(best_effort = false) engine ~path =
     report.Wal.records;
   let attempted = List.length report.Wal.records - !skipped in
   let replayed = attempted - (!failed - snap_failed) in
-  Telemetry.record_wal_replay (Engine.telemetry engine) ~count:replayed;
+  Telemetry.add tel Wal_replayed replayed;
   { base with replayed; failed = !failed; skipped = !skipped }

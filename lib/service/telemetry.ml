@@ -1,257 +1,126 @@
+type counter =
+  | Batches | Max_batch | Errors | Eco_coalesced | Cells_touched | Sheds
+  | Queue_depth_max | Deadline_exceeded | Degraded | Wal_appends | Wal_groups
+  | Wal_last_seq | Wal_replayed | Wal_torn_tail | Wal_trailing_garbage
+  | Dedup_hits | Snapshots | Last_snapshot_seq | Snapshot_truncated_bytes
+  | Cache_evictions | Windows_built | Cuts_evaluated | Cuts_pruned
+
+(* the counter's key in the [stats] JSON *)
+let name = function
+  | Batches -> "batches" | Max_batch -> "max_batch" | Errors -> "errors"
+  | Eco_coalesced -> "eco_coalesced" | Cells_touched -> "cells_touched"
+  | Sheds -> "sheds" | Queue_depth_max -> "queue_depth_max"
+  | Deadline_exceeded -> "deadline_exceeded" | Degraded -> "degraded"
+  | Wal_appends -> "wal_appends" | Wal_groups -> "wal_groups"
+  | Wal_last_seq -> "wal_last_seq" | Wal_replayed -> "wal_replayed"
+  | Wal_torn_tail -> "wal_torn_tail"
+  | Wal_trailing_garbage -> "wal_trailing_garbage"
+  | Dedup_hits -> "dedup_hits" | Snapshots -> "snapshots"
+  | Last_snapshot_seq -> "last_snapshot_seq"
+  | Snapshot_truncated_bytes -> "snapshot_truncated_bytes"
+  | Cache_evictions -> "cache_evictions" | Windows_built -> "windows_built"
+  | Cuts_evaluated -> "cuts_evaluated" | Cuts_pruned -> "cuts_pruned"
+
 type t = {
   lock : Mutex.t;
   started_at : float;
-  mutable batches : int;
-  mutable max_batch : int;
+  counts : (string, int) Hashtbl.t;  (* keyed by [name]; absent = 0 *)
   per_op : (string, int) Hashtbl.t;
-  mutable requests_total : int;
-  mutable errors : int;
-  mutable eco_coalesced : int;
-  mutable cells_touched : int;
   mutable busy_s : float;
-  mutable sheds : int;
-  mutable queue_depth_max : int;
-  mutable deadline_exceeded : int;
-  mutable degraded : int;
-  mutable wal_appends : int;
-  mutable wal_fsyncs : int;
-  mutable wal_groups : int;
-  mutable wal_last_seq : int;
-  mutable wal_replayed : int;
-  mutable wal_torn_tail : int;
-  mutable wal_trailing_garbage : int;
   mutable corruption_detected : bool;
-  mutable dedup_hits : int;
-  mutable snapshots : int;
-  mutable last_snapshot_seq : int;
-  mutable snapshot_truncated_bytes : int;
-  mutable cache_evictions : int;
   mutable connections : (int * int) list;  (* conn id, pending depth *)
   latency : Histogram.t;  (* queue wait + service time, per request *)
-  mutable windows_built : int;
-  mutable cuts_evaluated : int;
-  mutable cuts_pruned : int;
 }
 
 let create () =
   { lock = Mutex.create ();
     started_at = Unix.gettimeofday ();
-    batches = 0;
-    max_batch = 0;
+    counts = Hashtbl.create 32;
     per_op = Hashtbl.create 8;
-    requests_total = 0;
-    errors = 0;
-    eco_coalesced = 0;
-    cells_touched = 0;
     busy_s = 0.0;
-    sheds = 0;
-    queue_depth_max = 0;
-    deadline_exceeded = 0;
-    degraded = 0;
-    wal_appends = 0;
-    wal_fsyncs = 0;
-    wal_groups = 0;
-    wal_last_seq = 0;
-    wal_replayed = 0;
-    wal_torn_tail = 0;
-    wal_trailing_garbage = 0;
     corruption_detected = false;
-    dedup_hits = 0;
-    snapshots = 0;
-    last_snapshot_seq = 0;
-    snapshot_truncated_bytes = 0;
-    cache_evictions = 0;
     connections = [];
-    latency = Histogram.create ();
-    windows_built = 0;
-    cuts_evaluated = 0;
-    cuts_pruned = 0 }
+    latency = Histogram.create () }
 
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
+(* unlocked primitives; every public entry point takes the lock *)
+let read t c = Option.value (Hashtbl.find_opt t.counts (name c)) ~default:0
+let bump t c n = Hashtbl.replace t.counts (name c) (read t c + n)
+
+let add t c n = locked t (fun () -> bump t c n)
+
+let keep_max t c v =
+  locked t (fun () -> if v > read t c then Hashtbl.replace t.counts (name c) v)
+
+let get t c = locked t (fun () -> read t c)
+
 let record ?(wait_s = 0.0) t ~op ~ok ~service_s ~cells ~coalesced_extra =
   locked t (fun () ->
-      t.requests_total <- t.requests_total + 1;
       Hashtbl.replace t.per_op op
         (1 + Option.value (Hashtbl.find_opt t.per_op op) ~default:0);
-      if not ok then t.errors <- t.errors + 1;
-      t.eco_coalesced <- t.eco_coalesced + coalesced_extra;
-      t.cells_touched <- t.cells_touched + cells;
+      if not ok then bump t Errors 1;
+      bump t Eco_coalesced coalesced_extra;
+      bump t Cells_touched cells;
       t.busy_s <- t.busy_s +. service_s;
       Histogram.add t.latency (wait_s +. service_s))
 
-let record_batch t ~size =
-  locked t (fun () ->
-      t.batches <- t.batches + 1;
-      t.max_batch <- max t.max_batch size)
+let latch_corruption t = locked t (fun () -> t.corruption_detected <- true)
 
-let record_shed t = locked t (fun () -> t.sheds <- t.sheds + 1)
-
-let record_queue_depth t ~depth =
-  locked t (fun () -> t.queue_depth_max <- max t.queue_depth_max depth)
-
-let record_deadline t ~degraded =
-  locked t (fun () ->
-      t.deadline_exceeded <- t.deadline_exceeded + 1;
-      if degraded then t.degraded <- t.degraded + 1)
-
-let record_kernel t ~windows ~evaluated ~pruned =
-  locked t (fun () ->
-      t.windows_built <- t.windows_built + windows;
-      t.cuts_evaluated <- t.cuts_evaluated + evaluated;
-      t.cuts_pruned <- t.cuts_pruned + pruned)
-
-let record_wal_append t = locked t (fun () -> t.wal_appends <- t.wal_appends + 1)
-
-let record_wal_group t ~appends ~last_seq =
-  locked t (fun () ->
-      t.wal_appends <- t.wal_appends + appends;
-      t.wal_fsyncs <- t.wal_fsyncs + 1;
-      t.wal_groups <- t.wal_groups + 1;
-      t.wal_last_seq <- max t.wal_last_seq last_seq)
-
-let record_wal_replay t ~count =
-  locked t (fun () -> t.wal_replayed <- t.wal_replayed + count)
-
-let record_recovery t ~torn_tail ~trailing_garbage ~corrupt =
-  locked t (fun () ->
-      t.wal_torn_tail <- t.wal_torn_tail + torn_tail;
-      t.wal_trailing_garbage <- t.wal_trailing_garbage + trailing_garbage;
-      if corrupt then t.corruption_detected <- true)
-
-let record_dedup_hit t = locked t (fun () -> t.dedup_hits <- t.dedup_hits + 1)
-
-let record_snapshot t ~seq ~truncated_bytes =
-  locked t (fun () ->
-      t.snapshots <- t.snapshots + 1;
-      t.last_snapshot_seq <- max t.last_snapshot_seq seq;
-      t.snapshot_truncated_bytes <- t.snapshot_truncated_bytes + truncated_bytes)
-
-let record_evictions t ~count =
-  locked t (fun () -> t.cache_evictions <- t.cache_evictions + count)
+let corruption_detected t = locked t (fun () -> t.corruption_detected)
 
 let set_connections t depths =
   locked t (fun () ->
       t.connections <-
         List.sort (fun (a, _) (b, _) -> Int.compare a b) depths)
 
-type snapshot = {
-  uptime_s : float;
-  batches : int;
-  max_batch : int;
-  requests : (string * int) list;
-  requests_total : int;
-  errors : int;
-  eco_coalesced : int;
-  cells_touched : int;
-  busy_s : float;
-  sheds : int;
-  queue_depth_max : int;
-  deadline_exceeded : int;
-  degraded : int;
-  wal_appends : int;
-  wal_fsyncs : int;
-  wal_groups : int;
-  wal_last_seq : int;
-  wal_replayed : int;
-  wal_torn_tail : int;
-  wal_trailing_garbage : int;
-  corruption_detected : bool;
-  dedup_hits : int;
-  snapshots : int;
-  last_snapshot_seq : int;
-  snapshot_truncated_bytes : int;
-  cache_evictions : int;
-  connections : (int * int) list;
-  windows_built : int;
-  cuts_evaluated : int;
-  cuts_pruned : int;
-}
+let connections t = locked t (fun () -> t.connections)
 
-let snapshot t =
-  locked t (fun () ->
-      { uptime_s = Unix.gettimeofday () -. t.started_at;
-        batches = t.batches;
-        max_batch = t.max_batch;
-        (* keyed sort: op names are unique, so ordering by key alone
-           makes the stats listing byte-stable across runs *)
-        requests =
-          Hashtbl.fold (fun op n acc -> (op, n) :: acc) t.per_op []
-          |> List.sort (fun (a, _) (b, _) -> String.compare a b);
-        requests_total = t.requests_total;
-        errors = t.errors;
-        eco_coalesced = t.eco_coalesced;
-        cells_touched = t.cells_touched;
-        busy_s = t.busy_s;
-        sheds = t.sheds;
-        queue_depth_max = t.queue_depth_max;
-        deadline_exceeded = t.deadline_exceeded;
-        degraded = t.degraded;
-        wal_appends = t.wal_appends;
-        wal_fsyncs = t.wal_fsyncs;
-        wal_groups = t.wal_groups;
-        wal_last_seq = t.wal_last_seq;
-        wal_replayed = t.wal_replayed;
-        wal_torn_tail = t.wal_torn_tail;
-        wal_trailing_garbage = t.wal_trailing_garbage;
-        corruption_detected = t.corruption_detected;
-        dedup_hits = t.dedup_hits;
-        snapshots = t.snapshots;
-        last_snapshot_seq = t.last_snapshot_seq;
-        snapshot_truncated_bytes = t.snapshot_truncated_bytes;
-        cache_evictions = t.cache_evictions;
-        connections = t.connections;
-        windows_built = t.windows_built;
-        cuts_evaluated = t.cuts_evaluated;
-        cuts_pruned = t.cuts_pruned })
+let uptime_s t = Unix.gettimeofday () -. t.started_at
 
-let latency_json t = locked t (fun () -> Histogram.to_json t.latency)
+(* keyed sort: op names are unique, so ordering by key alone makes the
+   stats listing byte-stable across runs *)
+let sorted_ops t =
+  Hashtbl.fold (fun op n acc -> (op, n) :: acc) t.per_op []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let to_json t =
-  let s = snapshot t in
-  let mean_group =
-    if s.wal_groups = 0 then 0.0
-    else Float.of_int s.wal_appends /. Float.of_int s.wal_groups
-  in
-  Json.Obj
-    [ ("uptime_s", Json.Float s.uptime_s);
-      ("batches", Json.Int s.batches);
-      ("max_batch", Json.Int s.max_batch);
-      ("requests_total", Json.Int s.requests_total);
-      ("requests",
-       Json.Obj (List.map (fun (op, n) -> (op, Json.Int n)) s.requests));
-      ("errors", Json.Int s.errors);
-      ("eco_coalesced", Json.Int s.eco_coalesced);
-      ("cells_touched", Json.Int s.cells_touched);
-      ("busy_s", Json.Float s.busy_s);
-      ("sheds", Json.Int s.sheds);
-      ("queue_depth_max", Json.Int s.queue_depth_max);
-      ("deadline_exceeded", Json.Int s.deadline_exceeded);
-      ("degraded", Json.Int s.degraded);
-      ("wal_appends", Json.Int s.wal_appends);
-      ("wal_fsyncs", Json.Int s.wal_fsyncs);
-      ("wal_groups", Json.Int s.wal_groups);
-      ("wal_group_mean", Json.Float mean_group);
-      ("wal_last_seq", Json.Int s.wal_last_seq);
-      ("wal_replayed", Json.Int s.wal_replayed);
-      ("wal_torn_tail", Json.Int s.wal_torn_tail);
-      ("wal_trailing_garbage", Json.Int s.wal_trailing_garbage);
-      ("corruption_detected", Json.Bool s.corruption_detected);
-      ("dedup_hits", Json.Int s.dedup_hits);
-      ("snapshots", Json.Int s.snapshots);
-      ("last_snapshot_seq", Json.Int s.last_snapshot_seq);
-      ("snapshot_truncated_bytes", Json.Int s.snapshot_truncated_bytes);
-      ("cache_evictions", Json.Int s.cache_evictions);
-      ("connections",
-       Json.List
-         (List.map
-            (fun (id, depth) ->
-               Json.Obj
-                 [ ("conn", Json.Int id); ("queue_depth", Json.Int depth) ])
-            s.connections));
-      ("latency", latency_json t);
-      ("windows_built", Json.Int s.windows_built);
-      ("cuts_evaluated", Json.Int s.cuts_evaluated);
-      ("cuts_pruned", Json.Int s.cuts_pruned) ]
+  locked t (fun () ->
+      let requests = sorted_ops t in
+      let ints cs = List.map (fun c -> (name c, Json.Int (read t c))) cs in
+      (* one commit group is one fsync: a single counter feeds both *)
+      let groups = read t Wal_groups in
+      let mean_group =
+        if groups = 0 then 0.0
+        else Float.of_int (read t Wal_appends) /. Float.of_int groups
+      in
+      Json.Obj
+        ([ ("uptime_s", Json.Float (uptime_s t)) ]
+         @ ints [ Batches; Max_batch ]
+         @ [ ("requests_total",
+              Json.Int (List.fold_left (fun acc (_, n) -> acc + n) 0 requests));
+             ("requests",
+              Json.Obj (List.map (fun (op, n) -> (op, Json.Int n)) requests)) ]
+         @ ints [ Errors; Eco_coalesced; Cells_touched ]
+         @ [ ("busy_s", Json.Float t.busy_s) ]
+         @ ints [ Sheds; Queue_depth_max; Deadline_exceeded; Degraded;
+                  Wal_appends ]
+         @ [ ("wal_fsyncs", Json.Int groups);
+             ("wal_groups", Json.Int groups);
+             ("wal_group_mean", Json.Float mean_group) ]
+         @ ints [ Wal_last_seq; Wal_replayed; Wal_torn_tail;
+                  Wal_trailing_garbage ]
+         @ [ ("corruption_detected", Json.Bool t.corruption_detected) ]
+         @ ints [ Dedup_hits; Snapshots; Last_snapshot_seq;
+                  Snapshot_truncated_bytes; Cache_evictions ]
+         @ [ ("connections",
+              Json.List
+                (List.map
+                   (fun (id, depth) ->
+                      Json.Obj
+                        [ ("conn", Json.Int id); ("queue_depth", Json.Int depth) ])
+                   t.connections));
+             ("latency", Histogram.to_json t.latency) ]
+         @ ints [ Windows_built; Cuts_evaluated; Cuts_pruned ]))

@@ -1,11 +1,52 @@
 (** Aggregated service counters, reported by the [stats] op.
 
-    All recorders are thread-safe (engine workers run on separate
-    domains); reads snapshot a consistent view under the same lock. *)
+    One keyed registry of integer counters, each either summed
+    ({!add}) or a running maximum ({!keep_max}), next to the
+    per-request accounting of {!record}, the live connections gauge and
+    the corruption latch. Every operation is thread-safe under one lock
+    (engine workers run on separate domains). *)
 
 type t
 
 val create : unit -> t
+
+(** The registry's counters; {!to_json} renders each under its
+    snake_case name. *)
+type counter =
+  | Batches  (** incoming batches *)
+  | Max_batch  (** gauge: largest batch seen *)
+  | Errors  (** requests answered with an error *)
+  | Eco_coalesced  (** eco requests that piggybacked on a merged run *)
+  | Cells_touched
+  | Sheds  (** requests rejected by admission control (P429) *)
+  | Queue_depth_max  (** gauge: deepest pending queue observed *)
+  | Deadline_exceeded  (** budgets that expired (P430 or degraded) *)
+  | Degraded  (** deadline expiries answered by the greedy fallback *)
+  | Wal_appends  (** mutations journaled *)
+  | Wal_groups
+      (** commit groups journaled, one fsync each (rendered as both
+          [wal_groups] and [wal_fsyncs]) *)
+  | Wal_last_seq  (** gauge: highest journal sequence made durable *)
+  | Wal_replayed  (** mutations re-applied during [--recover] *)
+  | Wal_torn_tail  (** torn tails repaired during recovery *)
+  | Wal_trailing_garbage
+      (** terminated bad journal lines dropped during recovery *)
+  | Dedup_hits  (** retries answered from the idempotency window *)
+  | Snapshots  (** placement snapshots written *)
+  | Last_snapshot_seq  (** gauge: highest WAL seq covered by a snapshot *)
+  | Snapshot_truncated_bytes  (** journal bytes dropped after snapshots *)
+  | Cache_evictions  (** design entries evicted by the LRU bound *)
+  | Windows_built  (** insertion windows built by the MGL kernel *)
+  | Cuts_evaluated  (** cuts fully evaluated (DPs + curve) *)
+  | Cuts_pruned  (** cuts skipped by the kernel's lower bound *)
+
+(** [add t c n] adds [n] to counter [c]. *)
+val add : t -> counter -> int -> unit
+
+(** [keep_max t c v] raises gauge [c] to [v] if [v] is larger. *)
+val keep_max : t -> counter -> int -> unit
+
+val get : t -> counter -> int
 
 (** [record t ~op ~ok ~service_s ~cells ~coalesced_extra] accounts one
     completed request: [cells] is the number of cells the request
@@ -17,98 +58,23 @@ val record :
   ?wait_s:float -> t -> op:string -> ok:bool -> service_s:float -> cells:int ->
   coalesced_extra:int -> unit
 
-(** Account one incoming batch of [size] requests. *)
-val record_batch : t -> size:int -> unit
+(** Latch the [corruption_detected] flag the [health] op reports: a
+    recovery reached a corruption verdict (WAL or snapshot). *)
+val latch_corruption : t -> unit
 
-(** {2 Resilience counters} *)
-
-(** One request shed by admission control (P429). *)
-val record_shed : t -> unit
-
-(** Observed pending-queue depth; the snapshot keeps the maximum. *)
-val record_queue_depth : t -> depth:int -> unit
-
-(** One deadline expiry; [degraded] when the request was answered with
-    the greedy fallback instead of P430. *)
-val record_deadline : t -> degraded:bool -> unit
-
-(** Insertion-kernel work done by one legalize/eco execution: windows
-    built, cuts fully evaluated, cuts skipped by the lower bound. *)
-val record_kernel : t -> windows:int -> evaluated:int -> pruned:int -> unit
-
-(** One journaled (fsync'd and acknowledged) mutation. *)
-val record_wal_append : t -> unit
-
-(** One group commit: [appends] records made durable by a single
-    fsync (see {!Mcl_resilience.Wal.append_all}); [last_seq] is the
-    group's final journal sequence number (the gauge keeps the max). *)
-val record_wal_group : t -> appends:int -> last_seq:int -> unit
-
-(** [count] mutations re-applied during [--recover] replay. *)
-val record_wal_replay : t -> count:int -> unit
-
-(** What recovery found on disk: [torn_tail] (benign unterminated
-    partial line, repaired) vs [trailing_garbage] (terminated bad
-    lines — corruption evidence), and whether a corruption verdict was
-    reached (latches the [corruption_detected] flag the [health] op
-    reports). *)
-val record_recovery :
-  t -> torn_tail:int -> trailing_garbage:int -> corrupt:bool -> unit
-
-(** One mutating request answered from the idempotency window instead
-    of re-applied. *)
-val record_dedup_hit : t -> unit
-
-(** One placement snapshot covering WAL records up to [seq], after
-    which [truncated_bytes] of journal were dropped. *)
-val record_snapshot : t -> seq:int -> truncated_bytes:int -> unit
-
-(** [count] design-cache entries evicted by the LRU bound. *)
-val record_evictions : t -> count:int -> unit
+val corruption_detected : t -> bool
 
 (** Replace the live per-connection pending-queue-depth gauge
     (connection id, queued requests); stored sorted by id. *)
 val set_connections : t -> (int * int) list -> unit
 
-type snapshot = {
-  uptime_s : float;
-  batches : int;
-  max_batch : int;  (** largest batch seen *)
-  requests : (string * int) list;  (** per op, sorted by op name *)
-  requests_total : int;
-  errors : int;
-  eco_coalesced : int;  (** eco requests that piggybacked on a merged run *)
-  cells_touched : int;
-  busy_s : float;  (** summed service time across requests *)
-  sheds : int;  (** requests rejected by admission control (P429) *)
-  queue_depth_max : int;  (** deepest pending queue observed *)
-  deadline_exceeded : int;  (** budgets that expired (P430 or degraded) *)
-  degraded : int;  (** deadline expiries answered by the greedy fallback *)
-  wal_appends : int;
-  wal_fsyncs : int;  (** fsyncs issued (one per commit group) *)
-  wal_groups : int;  (** commit groups journaled *)
-  wal_last_seq : int;  (** highest journal sequence made durable *)
-  wal_replayed : int;
-  wal_torn_tail : int;  (** torn tails repaired during recovery *)
-  wal_trailing_garbage : int;
-      (** terminated bad journal lines dropped during recovery *)
-  corruption_detected : bool;
-      (** a recovery reached a corruption verdict (WAL or snapshot) *)
-  dedup_hits : int;  (** retries answered from the idempotency window *)
-  snapshots : int;  (** placement snapshots written *)
-  last_snapshot_seq : int;  (** highest WAL seq covered by a snapshot *)
-  snapshot_truncated_bytes : int;  (** journal bytes dropped after snapshots *)
-  cache_evictions : int;  (** design entries evicted by the LRU bound *)
-  connections : (int * int) list;  (** live (conn id, pending depth) gauge *)
-  windows_built : int;  (** insertion windows built by the MGL kernel *)
-  cuts_evaluated : int;  (** cuts fully evaluated (DPs + curve) *)
-  cuts_pruned : int;  (** cuts skipped by the kernel's lower bound *)
-}
+val connections : t -> (int * int) list
 
-val snapshot : t -> snapshot
+(** Seconds since {!create}. *)
+val uptime_s : t -> float
 
-(** End-to-end latency histogram (queue wait + service), rendered with
-    p50/p95/p99 (see {!Histogram.to_json}). *)
-val latency_json : t -> Json.t
-
+(** Everything above as one JSON object, the [stats] op's [counters];
+    [requests_total] is the sum of the per-op counts and [latency] the
+    end-to-end latency histogram with p50/p95/p99 (see
+    {!Histogram.to_json}). *)
 val to_json : t -> Json.t

@@ -174,13 +174,14 @@ let prop_apply_consistent =
 (* ---------------------------------------------------------------- *)
 (* Arena kernel vs reference oracle.                                  *)
 (*                                                                    *)
-(* The optimized Insertion.best must be bit-identical to              *)
-(* Insertion.best_reference: same candidate, float-equal cost, same   *)
+(* The optimized Insertion.best must be bit-identical to the cons-list *)
+(* Insertion_oracle.best: same candidate, float-equal cost, same      *)
 (* shift lists — across the whole config matrix (routability, fences, *)
-(* congestion, MGL/MLL displacement). The walk replicates the real    *)
-(* MGL flow (order, window growth, apply) so every window the flow    *)
-(* would evaluate gets cross-checked, and ~check_pruning re-evaluates *)
-(* every pruned cut to prove the lower bound never discards a winner. *)
+(* congestion, MGL/MLL displacement) and the Table-1 roster. The walk *)
+(* replicates the real MGL flow (order, window growth, apply) so      *)
+(* every window the flow would evaluate gets cross-checked, and       *)
+(* ~check_pruning re-evaluates every pruned cut to prove the lower    *)
+(* bound never discards a winner.                                     *)
 (* ---------------------------------------------------------------- *)
 
 module Rect = Mcl_geom.Rect
@@ -225,7 +226,7 @@ let lockstep_equiv ~disp_from cfg d =
          let tgt = d.Design.cells.(target) in
          let h = Design.height d tgt and w = Design.width d tgt in
          let rec attempt window tries =
-           let r = Mcl.Insertion.best_reference ctx ~target ~window in
+           let r = Insertion_oracle.best ctx ~target ~window in
            let a = Mcl.Insertion.best ~check_pruning:true ctx ~target ~window in
            if not (same_candidate a r) then ok := false
            else
@@ -298,6 +299,18 @@ let test_kernel_matches_reference () =
          [ false; true ])
     [ false; true ]
 
+(* the paper's Table-1 roster with fences and routability on, as the
+   CLI flow legalizes it *)
+let test_kernel_matches_reference_table1 () =
+  List.iter
+    (fun spec ->
+       let d = Mcl_gen.Generator.generate spec in
+       let ok, _ = lockstep_equiv ~disp_from:`Gp Mcl.Config.default d in
+       Alcotest.(check bool)
+         (Printf.sprintf "kernel == reference (%s)" spec.Mcl_gen.Spec.name)
+         true ok)
+    (Mcl_gen.Suites.iccad2017 ~scale:0.1 ())
+
 (* a dense design exercises the pruner hard; ~check_pruning (above and
    here) fails the run if a pruned cut would have won, and the counters
    must show the pruner actually fired *)
@@ -362,6 +375,8 @@ let () =
       ("arena-kernel",
        [ Alcotest.test_case "matches reference across config matrix" `Quick
            test_kernel_matches_reference;
+         Alcotest.test_case "matches reference on Table-1 roster" `Quick
+           test_kernel_matches_reference_table1;
          Alcotest.test_case "pruning fires and is sound" `Quick
            test_pruning_fires_and_is_sound;
          Alcotest.test_case "arena reuse is stateless" `Quick

@@ -543,6 +543,143 @@ let test_stats_wal_counters () =
           (Json.get_int "count" l <> Some 0 && Json.get_int "count" l <> None)
       | None -> Alcotest.fail "latency histogram missing")
 
+(* -- telemetry call-site parity --------------------------------------- *)
+(* One scripted history through the public protocol that reaches every
+   counter a call site feeds: WAL replay and a torn tail (recovery),
+   batches, queue depth, deadlines (P430 and degraded), kernel work,
+   coalescing, dedup hits (eco and load), group commit, snapshots, LRU
+   evictions and sheds. Every integer of the final [stats.counters]
+   except the clock-derived ones is pinned, so a change to how the
+   counters are stored must leave each one exactly where it was. *)
+
+(* One stdio session over a pipe pair. The whole script is in the pipe
+   before the loop starts, so the first read admits all of it and the
+   batch composition is a pure function of the script. *)
+let pipe_session engine ?wal ?wal_path ?snapshot_every ?max_pending ~max_batch
+    lines =
+  let r_in, w_in = Unix.pipe () in
+  let r_out, w_out = Unix.pipe () in
+  let input = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+  let n =
+    Unix.write w_in (Bytes.unsafe_of_string input) 0 (String.length input)
+  in
+  if n <> String.length input then Alcotest.fail "test harness: short pre-write";
+  Unix.close w_in;
+  let reader =
+    Domain.spawn (fun () ->
+        let buf = Buffer.create 4096 and chunk = Bytes.create 65536 in
+        let rec slurp () =
+          match Unix.read r_out chunk 0 (Bytes.length chunk) with
+          | 0 -> Buffer.contents buf
+          | n ->
+            Buffer.add_subbytes buf chunk 0 n;
+            slurp ()
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> slurp ()
+        in
+        slurp ())
+  in
+  let t =
+    Netserve.create engine ?wal ?wal_path ?snapshot_every ?max_pending
+      ~max_batch ()
+  in
+  ignore (Netserve.add_stdio t ~in_fd:r_in ~out_fd:w_out);
+  Netserve.run t;
+  Unix.close w_out;
+  Unix.close r_in;
+  let out = Domain.join reader in
+  Unix.close r_out;
+  String.split_on_char '\n' out
+  |> List.filter (fun l -> String.trim l <> "")
+  |> List.map parse_exn
+
+(* "key=value" for every integer (and the one boolean) under [j], in
+   rendering order; clock-derived fields are skipped *)
+let rec counter_ints prefix j =
+  match j with
+  | Json.Int v -> [ Printf.sprintf "%s=%d" prefix v ]
+  | Json.Bool b -> [ Printf.sprintf "%s=%b" prefix b ]
+  | Json.Obj fields ->
+    List.concat_map
+      (fun (k, v) ->
+         let key = if prefix = "" then k else prefix ^ "." ^ k in
+         match key with
+         | "uptime_s" | "busy_s" | "wal_group_mean" -> []
+         | k when String.starts_with ~prefix:"latency." k && k <> "latency.count"
+           -> []
+         | key -> counter_ints key v)
+      fields
+  | Json.List items ->
+    List.concat
+      (List.mapi (fun i v -> counter_ints (Printf.sprintf "%s[%d]" prefix i) v)
+         items)
+  | _ -> []
+
+let test_telemetry_call_site_parity () =
+  with_tmpdir (fun dir ->
+      let path = Filename.concat dir "p.wal" in
+      (* a journal to recover from, ending in a torn (unterminated) line *)
+      let wal = Wal.open_ ~next_seq:1 ~path () in
+      ignore
+        (pipe_session (engine ()) ~wal ~wal_path:path ~max_batch:1
+           [ load_line "a"; legalize_line "a"; eco_line ~key:"a" 1 7 ]);
+      Wal.close wal;
+      let oc =
+        open_out_gen [ Open_append; Open_binary; Open_wronly ] 0o600 path
+      in
+      output_string oc {|{"seq":4,"crc":12|};
+      close_out oc;
+      let eng = engine ~max_designs:1 () in
+      let r = Server.recover eng ~path in
+      Alcotest.(check (pair int int)) "replayed, torn tail" (3, 1)
+        (r.Server.replayed, r.Server.torn_tail);
+      let wal = Wal.open_ ~next_seq:(r.Server.snapshot_seq + 1) ~path () in
+      (* pairs of lines form the batches (max_batch 2); the snapshot
+         after the third batch evicts b, the least recently used *)
+      let main =
+        pipe_session eng ~wal ~wal_path:path ~snapshot_every:4 ~max_batch:2
+          [ {|{"id":"lb","op":"load","design":"b","cells":100,"seed":5,"req_id":"L"}|};
+            {|{"id":"p430","op":"legalize","design":"b","deadline_ms":0.01}|};
+            {|{"id":"deg","op":"legalize","design":"b","deadline_ms":0.01,"fallback":"greedy"}|};
+            {|{"id":"lbr","op":"load","design":"b","cells":100,"seed":5,"req_id":"L"}|};
+            legalize_line "a";
+            {|{"id":"k1","op":"eco","design":"a","cells":[3,14],"req_id":"K"}|};
+            eco_line ~key:"a" 2 15;
+            eco_line ~key:"a" 3 22;
+            {|{"id":"k1r","op":"eco","design":"a","cells":[3,14],"req_id":"K"}|};
+            {|{"id":"qa","op":"query","design":"a"}|};
+            {|{"id":"qb","op":"query","design":"b"}|};
+            {|{"id":"h","op":"health"}|} ]
+      in
+      Alcotest.(check int) "main session answers" 12 (List.length main);
+      (* a burst past the pending bound: the first two lines are
+         admitted, the rest shed at arrival; stats runs second *)
+      let burst =
+        pipe_session eng ~wal ~wal_path:path ~max_pending:2 ~max_batch:1
+          ([ {|{"id":"q","op":"query","design":"a"}|}; {|{"id":"s","op":"stats"}|} ]
+           @ List.init 5 (fun i -> Printf.sprintf {|{"id":"x%d","op":"health"}|} i))
+      in
+      Wal.close wal;
+      let stats = List.find (fun r -> str "id" r = "s") burst in
+      let counters =
+        match Option.bind (Json.member "result" stats) (Json.member "counters") with
+        | Some c -> c
+        | None -> Alcotest.fail "stats without counters"
+      in
+      Alcotest.(check (list string)) "stats.counters integers"
+        [ "batches=11"; "max_batch=2"; "requests_total=16"; "requests.eco=5";
+          "requests.health=1"; "requests.legalize=4"; "requests.load=3";
+          "requests.query=3"; "errors=2"; "eco_coalesced=2";
+          "cells_touched=667"; "sheds=5"; "queue_depth_max=10";
+          "deadline_exceeded=2"; "degraded=1"; "wal_appends=5";
+          "wal_fsyncs=4"; "wal_groups=4"; "wal_last_seq=8"; "wal_replayed=3";
+          "wal_torn_tail=1"; "wal_trailing_garbage=0";
+          "corruption_detected=false"; "dedup_hits=2"; "snapshots=1";
+          "last_snapshot_seq=7"; "snapshot_truncated_bytes=613";
+          "cache_evictions=1"; "connections[0].conn=0";
+          "connections[0].queue_depth=0"; "latency.count=16";
+          "windows_built=261"; "cuts_evaluated=11936"; "cuts_pruned=948" ]
+        (counter_ints "" counters))
+
 (* ---------------------------------------------------------------- *)
 
 let () =
@@ -567,4 +704,7 @@ let () =
       ("cache",
        [ Alcotest.test_case "LRU eviction bound" `Quick test_lru_eviction;
          Alcotest.test_case "stats: wal + connections" `Quick
-           test_stats_wal_counters ]) ]
+           test_stats_wal_counters ]);
+      ("telemetry",
+       [ Alcotest.test_case "call-site parity" `Quick
+           test_telemetry_call_site_parity ]) ]

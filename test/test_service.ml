@@ -330,7 +330,14 @@ let test_telemetry_stats_order_independent () =
   let t2 = Mcl_service.Telemetry.create () in
   feed t1 [ "query"; "eco"; "load"; "eco"; "legalize" ];
   feed t2 [ "legalize"; "eco"; "query"; "eco"; "load" ];
-  let reqs t = (Mcl_service.Telemetry.snapshot t).Mcl_service.Telemetry.requests in
+  let reqs t =
+    match Json.member "requests" (Mcl_service.Telemetry.to_json t) with
+    | Some (Json.Obj fields) ->
+      List.map
+        (fun (op, n) -> (op, Option.value (Json.to_int n) ~default:(-1)))
+        fields
+    | _ -> Alcotest.fail "no requests object"
+  in
   Alcotest.(check (list (pair string int)))
     "sorted by op name"
     [ ("eco", 2); ("legalize", 1); ("load", 1); ("query", 1) ]
@@ -345,6 +352,77 @@ let test_telemetry_stats_order_independent () =
   in
   Alcotest.(check string) "byte-stable requests JSON" (requests_json t1)
     (requests_json t2)
+
+(* [Telemetry.to_json] for a fixed event sequence, [uptime_s] masked:
+   the expected string pins every key, its position and its value. *)
+let test_telemetry_json_rendering () =
+  let module T = Mcl_service.Telemetry in
+  let t = T.create () in
+  List.iter
+    (fun size ->
+       T.add t T.Batches 1;
+       T.keep_max t T.Max_batch size)
+    [ 3; 5; 2 ];
+  T.record t ~op:"load" ~ok:true ~service_s:0.002 ~cells:100
+    ~coalesced_extra:0;
+  T.record ~wait_s:0.001 t ~op:"eco" ~ok:true ~service_s:0.004 ~cells:2
+    ~coalesced_extra:1;
+  T.record t ~op:"eco" ~ok:false ~service_s:0.0005 ~cells:0
+    ~coalesced_extra:0;
+  T.record ~wait_s:0.01 t ~op:"query" ~ok:true ~service_s:0.25 ~cells:0
+    ~coalesced_extra:0;
+  T.add t T.Sheds 2;
+  T.keep_max t T.Queue_depth_max 7;
+  T.keep_max t T.Queue_depth_max 3;
+  T.add t T.Deadline_exceeded 2;
+  T.add t T.Degraded 1;
+  T.add t T.Windows_built 15;
+  T.add t T.Cuts_evaluated 49;
+  T.add t T.Cuts_pruned 13;
+  List.iter
+    (fun (appends, last_seq) ->
+       T.add t T.Wal_appends appends;
+       T.add t T.Wal_groups 1;
+       T.keep_max t T.Wal_last_seq last_seq)
+    [ (3, 3); (1, 4) ];
+  T.add t T.Wal_replayed 6;
+  T.add t T.Wal_torn_tail 1;
+  T.add t T.Wal_trailing_garbage 2;
+  T.latch_corruption t;
+  T.add t T.Dedup_hits 2;
+  List.iter
+    (fun (seq, bytes) ->
+       T.add t T.Snapshots 1;
+       T.keep_max t T.Last_snapshot_seq seq;
+       T.add t T.Snapshot_truncated_bytes bytes)
+    [ (4, 512); (2, 100) ];
+  T.add t T.Cache_evictions 2;
+  T.set_connections t [ (3, 1); (1, 4) ];
+  let masked =
+    match T.to_json t with
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (fun (k, v) -> if k = "uptime_s" then (k, Json.Null) else (k, v))
+           fields)
+    | _ -> Alcotest.fail "counters are not an object"
+  in
+  Alcotest.(check string) "counters JSON"
+    (String.concat ""
+       [ {|{"uptime_s":null,"batches":3,"max_batch":5,"requests_total":4,|};
+         {|"requests":{"eco":2,"load":1,"query":1},"errors":1,|};
+         {|"eco_coalesced":1,"cells_touched":102,"busy_s":0.2565,"sheds":2,|};
+         {|"queue_depth_max":7,"deadline_exceeded":2,"degraded":1,|};
+         {|"wal_appends":4,"wal_fsyncs":2,"wal_groups":2,|};
+         {|"wal_group_mean":2.0,"wal_last_seq":4,"wal_replayed":6,|};
+         {|"wal_torn_tail":1,"wal_trailing_garbage":2,|};
+         {|"corruption_detected":true,"dedup_hits":2,"snapshots":2,|};
+         {|"last_snapshot_seq":4,"snapshot_truncated_bytes":612,|};
+         {|"cache_evictions":2,"connections":[{"conn":1,"queue_depth":4},|};
+         {|{"conn":3,"queue_depth":1}],"latency":{"count":4,"mean":0.066875,|};
+         {|"min":0.0005,"max":0.26,"p50":0.0021134890398366475,"p95":0.26,|};
+         {|"p99":0.26},"windows_built":15,"cuts_evaluated":49,"cuts_pruned":13}|} ])
+    (Json.to_string masked)
 
 let test_cache_entries_sorted () =
   let design () =
@@ -481,6 +559,8 @@ let () =
       ("stats",
        [ Alcotest.test_case "telemetry per-op listing deterministic" `Quick
            test_telemetry_stats_order_independent;
+         Alcotest.test_case "telemetry JSON rendering" `Quick
+           test_telemetry_json_rendering;
          Alcotest.test_case "cache entries sorted by key" `Quick
            test_cache_entries_sorted ]);
       ("histogram",
