@@ -1264,10 +1264,11 @@ let shard ~scale () =
     \ add GC synchronization, never throughput. The d=1 baseline is the\n\
     \ sequential arena-kernel Mgl.run.)\n\n"
     host_cores;
-  (* wide-die inputs: Table-1 designs tiled so the row-occupancy lists
-     are long enough for spatial locality to matter (and >= 50k cells at
-     scale 1). The tile count rises as the per-design size shrinks so
-     cells-per-row stays comparable across scales. *)
+  (* wide-die inputs: Table-1 designs tiled into long rows (and >= 50k
+     cells at scale 1). The tile count rises as the per-design size
+     shrinks so cells-per-row stays comparable across scales. Window
+     builds scan only the window's slice of each row, so stripes win
+     from parallel domains, not from shorter rows. *)
   let replicate = max 12 (int_of_float (Float.round (4.8 /. scale))) in
   let wide_specs =
     List.filter_map
@@ -1324,15 +1325,15 @@ let shard ~scale () =
              domain_counts
          in
          let cps d = List.assoc d !cps_by_domains in
-         let strictly_increasing = cps 1 < cps 2 && cps 2 < cps 4 in
+         let speedup_2 = cps 2 /. Float.max 1e-9 (cps 1) in
          let speedup_4 = cps 4 /. Float.max 1e-9 (cps 1) in
-         Printf.printf "  strictly increasing 1->2->4: %b, 4-domain speedup %.2fx\n\n%!"
-           strictly_increasing speedup_4;
+         Printf.printf "  2-domain speedup %.2fx, 4-domain speedup %.2fx\n\n%!"
+           speedup_2 speedup_4;
          Json.Obj
            [ ("name", Json.String name);
              ("replicate", Json.Int replicate);
              ("domains", Json.List rows);
-             ("strictly_increasing", Json.Bool strictly_increasing);
+             ("speedup_2", Json.Float speedup_2);
              ("speedup_4", Json.Float speedup_4) ])
       wide_specs
   in

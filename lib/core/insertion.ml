@@ -124,6 +124,13 @@ let build_window_arena ctx (a : Arena.t) ~target ~(window : Rect.t) =
       Array.fold_left (fun acc r -> Array.fold_left Int.max acc r) 0 t
     else 0
   in
+  (* widest cell type, fixed macros included: a cell ending after site
+     x starts after x - reach *)
+  let reach =
+    Array.fold_left
+      (fun acc (ct : Cell_type.t) -> Int.max acc ct.Cell_type.width)
+      0 design.Design.cell_types
+  in
   let nrows = max 0 (row_hi - row_lo) in
   (* clipped free spans, computed once per window row *)
   I.clear a.Arena.cs_off;
@@ -160,9 +167,15 @@ let build_window_arena ctx (a : Arena.t) ~target ~(window : Rect.t) =
     let k = bsearch_le cs_lo_a base limit r.Rect.x.Interval.lo in
     k >= base && r.Rect.x.Interval.hi <= cs_hi_a.(k)
   in
+  (* A local lies inside the window, so its x is in [win_lo, win_hi]:
+     binary-search each row to that range. Rows are x-sorted, so the
+     locals keep their discovery order. *)
   for row = row_lo to row_hi - 1 do
-    let arr, len = Placement.row_cells ctx.placement row in
-    for i = 0 to len - 1 do
+    let arr, _ = Placement.row_cells ctx.placement row in
+    let first, last =
+      Placement.x_range ctx.placement ~row ~lo:win_lo ~hi:win_hi
+    in
+    for i = first to last - 1 do
       let id = arr.(i) in
       if (not (Arena.Marks.mem marks id)) && id <> target then begin
         let c = cells.(id) in
@@ -235,13 +248,33 @@ let build_window_arena ctx (a : Arena.t) ~target ~(window : Rect.t) =
   I.push a.Arena.locs_off 0;
   for off = 0 to nrows - 1 do
     let row = row_lo + off in
-    let arr, len = Placement.row_cells ctx.placement row in
+    let arr, _ = Placement.row_cells ctx.placement row in
+    (* Only cells with x in [win_lo - clip_pad - reach, win_hi + clip_pad]
+       can change a sub-span; the rest of the row is skipped. Every
+       clipped span [s_lo, s_hi) lies inside [win_lo, win_hi], and a
+       cell is at least one site wide (Cell_type.make), so a skipped
+       cell is either
+       - left: it ends at or before win_lo - clip_pad <= s_lo - clip_pad
+         (reach bounds every width, fixed cells included), so it fails
+         all three tests of the span-cut loop below; or
+       - right: it starts at or after win_hi + clip_pad >= s_hi +
+         clip_pad, so it fails the overlap and "begins right of the
+         span end" tests, and passes the "ends left of the boundary"
+         test only once cur_lo has already reached past s_hi. From then
+         on the loop pushes nothing and cur_et is never read again.
+       A local has x in [win_lo, win_hi], so all of them are visited,
+       and the visited cells keep their row order. *)
+    let first, last =
+      Placement.x_range ctx.placement ~row
+        ~lo:(win_lo - clip_pad - reach)
+        ~hi:(win_hi + clip_pad)
+    in
     let row_locs_start = a.Arena.locs.I.len in
     let row_ss_start = a.Arena.ss_lo.I.len in
     I.clear a.Arena.ob_lo;
     I.clear a.Arena.ob_hi;
     I.clear a.Arena.ob_et;
-    for i = 0 to len - 1 do
+    for i = first to last - 1 do
       let id = arr.(i) in
       let li = Arena.Marks.get marks id in
       if li >= 0 then I.push a.Arena.locs li

@@ -28,25 +28,35 @@ let disp_at design (c : Cell.t) (x, y) =
 let optimize_group ~delta0 design stats config cells =
   let n = Array.length cells in
   let positions = Array.map (fun (c : Cell.t) -> (c.x, c.y)) cells in
-  (* nearest positions per cell: brute force within the group, but
-     groups are modest; use a partial sort of squared distances *)
+  (* Candidate edges: each cell's k nearest group positions by
+     displacement, found by fully sorting all n of them (groups reach
+     ~1k cells on wide dies). The n displacements are computed once per
+     cell into [dist], and a reused index array is sorted on them.
+     Array.sort is unstable, so its order among equal displacements
+     comes from its exact comparison sequence: changing the sort
+     changes which tied neighbours become edges, and so placements. *)
   let k = min (n - 1) config.Config.matching_neighbors in
   let edges = ref [] in
+  let dist = Array.make n 0.0 in
+  let order = Array.make n 0 in
   for i = 0 to n - 1 do
     let c = cells.(i) in
-    let d j = disp_at design c positions.(j) in
+    let d_i = disp_at design c positions.(i) in
     (* always include the identity edge *)
-    edges := Matching.{ left = i; right = i; edge_cost = int_cost (phi ~delta0 (d i)) } :: !edges;
+    edges := Matching.{ left = i; right = i; edge_cost = int_cost (phi ~delta0 d_i) } :: !edges;
     if k > 0 then begin
-      let order = Array.init n (fun j -> j) in
-      Array.sort (fun a b -> compare (d a) (d b)) order;
+      for j = 0 to n - 1 do
+        dist.(j) <- disp_at design c positions.(j);
+        order.(j) <- j
+      done;
+      Array.sort (fun a b -> compare dist.(a) dist.(b)) order;
       let added = ref 0 in
       let ji = ref 0 in
       while !added < k && !ji < n do
         let j = order.(!ji) in
         if j <> i then begin
           edges :=
-            Matching.{ left = i; right = j; edge_cost = int_cost (phi ~delta0 (d j)) }
+            Matching.{ left = i; right = j; edge_cost = int_cost (phi ~delta0 dist.(j)) }
             :: !edges;
           incr added
         end;

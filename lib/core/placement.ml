@@ -1,4 +1,3 @@
-module Interval = Mcl_geom.Interval
 open Mcl_netlist
 
 type row_store = { mutable arr : int array; mutable len : int }
@@ -152,14 +151,19 @@ let merge design parts =
     parts;
   t
 
-let iter_in_range t ~row iv f =
+(* first index of [row] whose cell has x >= [x] *)
+let lower_bound t row x =
   let store = t.rows.(row) in
-  for i = 0 to store.len - 1 do
-    let id = store.arr.(i) in
-    let c = t.design.Design.cells.(id) in
-    let w = Design.width t.design c in
-    if Interval.overlaps iv (Interval.make c.Cell.x (c.Cell.x + w)) then f id
-  done
+  let lo = ref 0 and hi = ref store.len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if cell_x t store.arr.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let x_range t ~row ~lo ~hi =
+  let first = lower_bound t row lo in
+  (first, max first (lower_bound t row (hi + 1)))
 
 let well_formed t =
   let ok = ref true in

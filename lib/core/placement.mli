@@ -35,8 +35,12 @@ val row_cells : t -> int -> int array * int
     been built for (physically) the same design. *)
 val merge : Design.t -> t array -> t
 
-(** Fold over cells of [row] whose x-extent overlaps [iv]. *)
-val iter_in_range : t -> row:int -> Mcl_geom.Interval.t -> (int -> unit) -> unit
+(** [x_range t ~row ~lo ~hi] is [(first, last)]: the entries
+    [first .. last - 1] of [row_cells t row] are exactly the cells
+    whose left edge x lies in [lo, hi] (inclusive). Found by binary
+    search, which the invariant above makes exact. Empty
+    ([first = last]) when [hi < lo]. *)
+val x_range : t -> row:int -> lo:int -> hi:int -> int * int
 
 (** Check that every row is sorted and overlap-free; for tests. *)
 val well_formed : t -> bool

@@ -8,18 +8,9 @@ type t = {
   vrail_pitch : int;   (* sites; 0 = no vertical stripes *)
   row_ok_tbl : bool array array;  (* type -> y mod period *)
   x_ok_tbl : bool array array;    (* type -> x mod pitch *)
-  (* x-bucketed IO-pin index: [io_conflicts] is called once per
-     evaluated candidate, so a linear scan of every IO pin makes the
-     insertion kernel O(die width) per window.  Pin [i] is listed in
-     every bucket its x-range touches; [io_first.(i)] is its first
-     bucket, used to count each pin exactly once per query. *)
-  io_bin : int;                (* dbu per bucket, > 0 *)
-  io_nbins : int;
-  io_off : int array;          (* nbins + 1 prefix offsets into io_ids *)
-  io_ids : int array;          (* pin indices, bucket-major, index-ascending *)
-  io_first : int array;        (* pin -> first bucket *)
-  io_rects : Rect.t array;
-  io_layers : Layer.t array;
+  (* [io_conflicts] is called once per evaluated candidate, so it asks
+     the x-bucketed index instead of scanning every IO pin *)
+  io : Io_index.t;
 }
 
 let relation ~pin_layer ~obstacle_layer =
@@ -74,8 +65,6 @@ let x_residue_conflict fp (ct : Cell_type.t) rho =
        any (max 0 k_lo))
     ct.Cell_type.pins
 
-let bucket_of ~bin ~nbins x = max 0 (min (nbins - 1) (x / bin))
-
 let create design =
   let fp = design.Design.floorplan in
   let types = design.Design.cell_types in
@@ -95,43 +84,8 @@ let create design =
          else Array.init vrail_pitch (fun rho -> not (x_residue_conflict fp ct rho)))
       types
   in
-  let io_arr = Array.of_list fp.Floorplan.io_pins in
-  let n_io = Array.length io_arr in
-  let io_rects =
-    Array.map (fun (p : Floorplan.io_pin) -> p.Floorplan.io_rect) io_arr
-  in
-  let io_layers =
-    Array.map (fun (p : Floorplan.io_pin) -> p.Floorplan.io_layer) io_arr
-  in
-  let io_bin = max 1 (64 * fp.Floorplan.site_width) in
-  let die_w = fp.Floorplan.num_sites * fp.Floorplan.site_width in
-  let io_nbins = max 1 ((die_w / io_bin) + 1) in
-  let bkt = bucket_of ~bin:io_bin ~nbins:io_nbins in
-  let io_first =
-    Array.map (fun (r : Rect.t) -> bkt r.Rect.x.Interval.lo) io_rects
-  in
-  let io_last =
-    Array.map (fun (r : Rect.t) -> bkt r.Rect.x.Interval.hi) io_rects
-  in
-  let io_off = Array.make (io_nbins + 1) 0 in
-  for i = 0 to n_io - 1 do
-    for b = io_first.(i) to io_last.(i) do
-      io_off.(b + 1) <- io_off.(b + 1) + 1
-    done
-  done;
-  for b = 1 to io_nbins do
-    io_off.(b) <- io_off.(b) + io_off.(b - 1)
-  done;
-  let io_ids = Array.make io_off.(io_nbins) 0 in
-  let cursor = Array.copy io_off in
-  for i = 0 to n_io - 1 do
-    for b = io_first.(i) to io_last.(i) do
-      io_ids.(cursor.(b)) <- i;
-      cursor.(b) <- cursor.(b) + 1
-    done
-  done;
   { design; hrail_period; vrail_pitch; row_ok_tbl; x_ok_tbl;
-    io_bin; io_nbins; io_off; io_ids; io_first; io_rects; io_layers }
+    io = Io_index.create fp }
 
 let row_ok t ~type_id ~y =
   t.hrail_period <= 0
@@ -155,34 +109,25 @@ let nearest_ok_x t ~type_id ~x ~lo ~hi =
     search 1
   end
 
-(* Count of (cell pin, IO pin) conflict pairs; the bucket walk visits a
-   pin in every touched bucket but counts it only in the first one the
-   query sees ([b = b0 || io_first = b]), so the count — an
-   order-independent sum — equals the former full scan's exactly. *)
+(* Count of (cell pin, IO pin) conflict pairs. *)
 let io_conflicts t ~type_id ~x ~y =
-  if Array.length t.io_rects = 0 then 0
+  let ios = Io_index.pins t.io in
+  if Array.length ios = 0 then 0
   else begin
     let fp = t.design.Design.floorplan in
     let ct = t.design.Design.cell_types.(type_id) in
     let ox = x * fp.Floorplan.site_width
     and oy = y * fp.Floorplan.row_height in
-    let bkt = bucket_of ~bin:t.io_bin ~nbins:t.io_nbins in
     let acc = ref 0 in
     List.iter
       (fun (p : Cell_type.pin) ->
          let shape = Rect.shift p.Cell_type.shape ~dx:ox ~dy:oy in
-         let b0 = bkt shape.Rect.x.Interval.lo
-         and b1 = bkt shape.Rect.x.Interval.hi in
-         for b = b0 to b1 do
-           for k = t.io_off.(b) to t.io_off.(b + 1) - 1 do
-             let id = t.io_ids.(k) in
-             if (b = b0 || t.io_first.(id) = b)
-                && relation ~pin_layer:p.Cell_type.layer
-                     ~obstacle_layer:t.io_layers.(id)
-                && Rect.overlaps shape t.io_rects.(id)
-             then incr acc
-           done
-         done)
+         Io_index.iter_near t.io shape (fun id ->
+             let io = ios.(id) in
+             if relation ~pin_layer:p.Cell_type.layer
+                 ~obstacle_layer:io.Floorplan.io_layer
+             && Rect.overlaps shape io.Floorplan.io_rect
+             then incr acc))
       ct.Cell_type.pins;
     !acc
   end

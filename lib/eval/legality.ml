@@ -1,3 +1,4 @@
+module Interval = Mcl_geom.Interval
 module Rect = Mcl_geom.Rect
 open Mcl_netlist
 
@@ -21,13 +22,29 @@ let pp_violation ppf = function
    (paper Sec. 2); odd-height cells can flip, so any row is fine. *)
 let parity_ok height y = height mod 2 = 1 || y mod 2 = 0
 
+(* Row by row against the fences' merged row intervals (a cell is at
+   least one site wide, so its x-extent is never empty): a fenced cell
+   must lie inside one merged interval of its fence, since the site
+   just past a merged interval is uncovered; a region-0 cell must
+   overlap no fence interval. Equals [Design.region_covers] on every
+   site of the cell. *)
 let region_ok design (c : Cell.t) =
   let r = Design.cell_rect design c in
+  let xs = r.Rect.x in
+  let row_ok row =
+    if c.region = 0 then
+      Array.for_all
+        (fun f ->
+           not (List.exists (Interval.overlaps xs) (Fence.row_intervals f ~row)))
+        design.Design.fences
+    else
+      List.exists
+        (fun (iv : Interval.t) -> iv.lo <= xs.lo && xs.hi <= iv.hi)
+        (Fence.row_intervals design.Design.fences.(c.region - 1) ~row)
+  in
   let ok = ref true in
-  for y = r.Rect.y.lo to r.Rect.y.hi - 1 do
-    for x = r.Rect.x.lo to r.Rect.x.hi - 1 do
-      if not (Design.region_covers design ~region:c.region ~x ~y) then ok := false
-    done
+  for row = r.Rect.y.lo to r.Rect.y.hi - 1 do
+    if !ok && not (row_ok row) then ok := false
   done;
   !ok
 

@@ -19,45 +19,69 @@ let relation ~pin_layer ~obstacle_layer =
     | Some up when Layer.equal up obstacle_layer -> Some `Access
     | Some _ | None -> None
 
-let cell_pin_violations design (c : Cell.t) ~x ~y =
+(* Stripes come sorted by [lo] and all have one width, so they are
+   sorted by [hi] too. Those ending at or before [iv.lo] miss [iv]; if
+   the first one ending after it misses too, it starts at or after
+   [iv.hi], and so does every later one. *)
+let overlaps_any (stripes : Interval.t array) (iv : Interval.t) =
+  let lo = ref 0 and hi = ref (Array.length stripes) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if stripes.(mid).Interval.hi <= iv.Interval.lo then lo := mid + 1
+    else hi := mid
+  done;
+  !lo < Array.length stripes && Interval.overlaps stripes.(!lo) iv
+
+(* Staged: applying it to a design builds the stripe arrays and the IO
+   index once, so checking every cell costs no more per cell than its
+   own pins. *)
+let cell_pin_violations design =
   let fp = design.Design.floorplan in
-  let ct = Design.cell_type design c in
-  let ox = x * fp.Floorplan.site_width and oy = y * fp.Floorplan.row_height in
-  let hstripes = Floorplan.hrail_stripes fp in
-  let vstripes = Floorplan.vrail_stripes fp in
-  let check_pin (p : Cell_type.pin) =
-    let shape = Rect.shift p.Cell_type.shape ~dx:ox ~dy:oy in
-    let acc = ref [] in
-    let add kind against =
-      acc := { cell = c.id; pin_name = p.Cell_type.pin_name; kind; against } :: !acc
+  let hstripes = Array.of_list (Floorplan.hrail_stripes fp) in
+  let vstripes = Array.of_list (Floorplan.vrail_stripes fp) in
+  let io = Io_index.create fp in
+  let ios = Io_index.pins io in
+  fun (c : Cell.t) ~x ~y ->
+    let ct = Design.cell_type design c in
+    let ox = x * fp.Floorplan.site_width and oy = y * fp.Floorplan.row_height in
+    let check_pin (p : Cell_type.pin) =
+      let shape = Rect.shift p.Cell_type.shape ~dx:ox ~dy:oy in
+      let acc = ref [] in
+      let add kind against =
+        acc := { cell = c.id; pin_name = p.Cell_type.pin_name; kind; against } :: !acc
+      in
+      (* horizontal stripes live on M2 and span the full die width *)
+      (match relation ~pin_layer:p.Cell_type.layer ~obstacle_layer:Layer.M2 with
+       | Some kind -> if overlaps_any hstripes shape.Rect.y then add kind `Hrail
+       | None -> ());
+      (* vertical stripes live on M3 and span the full die height *)
+      (match relation ~pin_layer:p.Cell_type.layer ~obstacle_layer:Layer.M3 with
+       | Some kind -> if overlaps_any vstripes shape.Rect.x then add kind `Vrail
+       | None -> ());
+      (* IO hits in floorplan order, as a scan of every IO pin finds them *)
+      let hits = ref [] in
+      Io_index.iter_near io shape (fun id ->
+          let pin = ios.(id) in
+          match
+            relation ~pin_layer:p.Cell_type.layer
+              ~obstacle_layer:pin.Floorplan.io_layer
+          with
+          | Some kind ->
+            if Rect.overlaps shape pin.Floorplan.io_rect then
+              hits := (id, kind) :: !hits
+          | None -> ());
+      List.iter
+        (fun (_, kind) -> add kind `Io)
+        (List.sort (fun (a, _) (b, _) -> Int.compare a b) !hits);
+      !acc
     in
-    (* horizontal stripes live on M2 and span the full die width *)
-    (match relation ~pin_layer:p.Cell_type.layer ~obstacle_layer:Layer.M2 with
-     | Some kind ->
-       if List.exists (fun s -> Interval.overlaps s shape.Rect.y) hstripes then
-         add kind `Hrail
-     | None -> ());
-    (* vertical stripes live on M3 and span the full die height *)
-    (match relation ~pin_layer:p.Cell_type.layer ~obstacle_layer:Layer.M3 with
-     | Some kind ->
-       if List.exists (fun s -> Interval.overlaps s shape.Rect.x) vstripes then
-         add kind `Vrail
-     | None -> ());
-    List.iter
-      (fun (io : Floorplan.io_pin) ->
-         match relation ~pin_layer:p.Cell_type.layer ~obstacle_layer:io.Floorplan.io_layer with
-         | Some kind -> if Rect.overlaps shape io.Floorplan.io_rect then add kind `Io
-         | None -> ())
-      fp.Floorplan.io_pins;
-    !acc
-  in
-  List.concat_map check_pin ct.Cell_type.pins
+    List.concat_map check_pin ct.Cell_type.pins
 
 let pin_violations design =
+  let check = cell_pin_violations design in
   Array.to_list design.Design.cells
   |> List.concat_map (fun (c : Cell.t) ->
-      if c.Cell.is_fixed then []
-      else cell_pin_violations design c ~x:c.Cell.x ~y:c.Cell.y)
+      if c.Cell.is_fixed then [] else check c ~x:c.Cell.x ~y:c.Cell.y)
 
 let edge_violations design =
   let fp = design.Design.floorplan in

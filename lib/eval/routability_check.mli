@@ -18,7 +18,9 @@ type pin_violation = {
 type edge_violation = { left_cell : int; right_cell : int; need : int; got : int }
 
 (** Pin short/access violations of one cell placed at [(x, y)] in
-    site/row coordinates. *)
+    site/row coordinates. [cell_pin_violations design] indexes the
+    design's stripes and IO pins once; apply it to the design once and
+    reuse the result for many cells. *)
 val cell_pin_violations : Design.t -> Cell.t -> x:int -> y:int -> pin_violation list
 
 (** All pin violations of the current placement. *)

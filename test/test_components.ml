@@ -116,14 +116,53 @@ let test_placement_remove_and_membership () =
     (Invalid_argument "Placement.remove: not registered")
     (fun () -> Mcl.Placement.remove p 2)
 
-let test_placement_iter_in_range () =
+let test_placement_x_range () =
   let d = placement_design () in
   let p = Mcl.Placement.of_design d in
-  let hits = ref [] in
-  Mcl.Placement.iter_in_range p ~row:0 (Interval.make 12 21) (fun id ->
-      hits := id :: !hits);
-  (* cell 0 spans [10,15), cell 2 [15,20), cell 1 [20,25) *)
-  Alcotest.(check (list int)) "overlapping range" [ 0; 2; 1 ] (List.rev !hits)
+  (* row 0 holds cell 0 at x=10, cell 2 at x=15, cell 1 at x=20 *)
+  let ids ~lo ~hi =
+    let arr, _ = Mcl.Placement.row_cells p 0 in
+    let first, last = Mcl.Placement.x_range p ~row:0 ~lo ~hi in
+    List.init (last - first) (fun k -> arr.(first + k))
+  in
+  Alcotest.(check (list int)) "left edges in [12, 20]" [ 2; 1 ] (ids ~lo:12 ~hi:20);
+  Alcotest.(check (list int)) "bounds inclusive" [ 0; 2 ] (ids ~lo:10 ~hi:15);
+  Alcotest.(check (list int)) "past the row" [] (ids ~lo:21 ~hi:60);
+  Alcotest.(check (list int)) "hi < lo" [] (ids ~lo:16 ~hi:14)
+
+(* the binary-searched range equals a linear filter of the row, on
+   random rows with repeated and overlapping x (sorting is all the
+   lookup relies on) *)
+let prop_placement_x_range_linear =
+  QCheck.Test.make ~name:"x_range == linear filter on random rows" ~count:200
+    QCheck.(int_range 1 100000)
+    (fun seed ->
+       let rng = Mcl_geom.Prng.create seed in
+       let fp = Floorplan.make ~num_sites:64 ~num_rows:1 () in
+       let types = Array.init 4 (fun i -> ct i (Printf.sprintf "w%d" i) (i + 1) 1) in
+       let n = Mcl_geom.Prng.int rng 24 in
+       let cells =
+         Array.init n (fun i ->
+             let c =
+               Cell.make ~id:i ~type_id:(Mcl_geom.Prng.int rng 4) ~gp_x:0 ~gp_y:0 ()
+             in
+             c.Cell.x <- Mcl_geom.Prng.int rng 60;
+             c)
+       in
+       let d = Design.make ~name:"xr" ~floorplan:fp ~cell_types:types ~cells () in
+       let p = Mcl.Placement.of_design d in
+       let arr, len = Mcl.Placement.row_cells p 0 in
+       let lo = Mcl_geom.Prng.int rng 70 - 5 in
+       let hi = lo + Mcl_geom.Prng.int rng 30 - 5 in
+       let first, last = Mcl.Placement.x_range p ~row:0 ~lo ~hi in
+       let linear =
+         List.filter
+           (fun i ->
+              let x = cells.(arr.(i)).Cell.x in
+              lo <= x && x <= hi)
+           (List.init len (fun i -> i))
+       in
+       linear = List.init (last - first) (fun k -> first + k))
 
 (* ---- Routability navigator ---- *)
 
@@ -231,7 +270,8 @@ let () =
       ("placement",
        [ Alcotest.test_case "rows sorted" `Quick test_placement_rows_sorted;
          Alcotest.test_case "remove/membership" `Quick test_placement_remove_and_membership;
-         Alcotest.test_case "iter in range" `Quick test_placement_iter_in_range;
+         Alcotest.test_case "x range" `Quick test_placement_x_range;
+         QCheck_alcotest.to_alcotest prop_placement_x_range_linear;
          QCheck_alcotest.to_alcotest prop_placement_add_remove_random ]);
       ("routability",
        [ Alcotest.test_case "row_ok periodicity" `Quick test_row_ok_periodicity;

@@ -199,6 +199,117 @@ let test_edge_violation_detection () =
   Alcotest.(check int) "fixed by spacing" 0
     (List.length (Mcl_eval.Routability_check.edge_violations d))
 
+(* -- the fast per-cell checks against their definitions -- *)
+
+(* Definition of the region test behind [Legality.Outside_region]:
+   every site of the cell belongs to its region. *)
+let region_ok_by_site d (c : Cell.t) =
+  let r = Design.cell_rect d c in
+  let ok = ref true in
+  for y = r.Rect.y.lo to r.Rect.y.hi - 1 do
+    for x = r.Rect.x.lo to r.Rect.x.hi - 1 do
+      if not (Design.region_covers d ~region:c.Cell.region ~x ~y) then ok := false
+    done
+  done;
+  !ok
+
+(* Definition of [Routability_check.cell_pin_violations]: every pin
+   against every stripe and every IO pin, in that order per pin. *)
+let pin_violations_all_pins d (c : Cell.t) ~x ~y =
+  let module RC = Mcl_eval.Routability_check in
+  let fp = d.Design.floorplan in
+  let relation ~pin_layer ~obstacle_layer =
+    if Layer.equal pin_layer obstacle_layer then Some `Short
+    else
+      match Layer.above pin_layer with
+      | Some up when Layer.equal up obstacle_layer -> Some `Access
+      | Some _ | None -> None
+  in
+  let ct = Design.cell_type d c in
+  let ox = x * fp.Floorplan.site_width and oy = y * fp.Floorplan.row_height in
+  let hstripes = Floorplan.hrail_stripes fp in
+  let vstripes = Floorplan.vrail_stripes fp in
+  let check_pin (p : Cell_type.pin) =
+    let shape = Rect.shift p.Cell_type.shape ~dx:ox ~dy:oy in
+    let acc = ref [] in
+    let add kind against =
+      acc :=
+        { RC.cell = c.Cell.id; pin_name = p.Cell_type.pin_name; kind; against }
+        :: !acc
+    in
+    (match relation ~pin_layer:p.Cell_type.layer ~obstacle_layer:Layer.M2 with
+     | Some kind ->
+       if List.exists (fun s -> Mcl_geom.Interval.overlaps s shape.Rect.y) hstripes
+       then add kind `Hrail
+     | None -> ());
+    (match relation ~pin_layer:p.Cell_type.layer ~obstacle_layer:Layer.M3 with
+     | Some kind ->
+       if List.exists (fun s -> Mcl_geom.Interval.overlaps s shape.Rect.x) vstripes
+       then add kind `Vrail
+     | None -> ());
+    List.iter
+      (fun (io : Floorplan.io_pin) ->
+         match
+           relation ~pin_layer:p.Cell_type.layer ~obstacle_layer:io.Floorplan.io_layer
+         with
+         | Some kind -> if Rect.overlaps shape io.Floorplan.io_rect then add kind `Io
+         | None -> ())
+      fp.Floorplan.io_pins;
+    !acc
+  in
+  List.concat_map check_pin ct.Cell_type.pins
+
+(* random, mostly illegal placements of a fenced design with the P/G
+   grid and IO pins on: cells land anywhere, partly off the die *)
+let prop_fast_checks_match_definitions =
+  QCheck.Test.make ~name:"region and pin checks == per-site / all-pins"
+    ~count:25
+    QCheck.(int_range 1 100000)
+    (fun seed ->
+       let d =
+         Mcl_gen.Generator.generate
+           { Mcl_gen.Spec.default with
+             Mcl_gen.Spec.name = "rand";
+             seed;
+             num_cells = 150;
+             num_fences = 2;
+             fence_cell_frac = 0.3;
+             num_io_pins = 300;
+             routability = true }
+       in
+       let fp = d.Design.floorplan in
+       let rng = Mcl_geom.Prng.create seed in
+       Array.iter
+         (fun (c : Cell.t) ->
+            if not c.Cell.is_fixed then begin
+              c.Cell.x <- Mcl_geom.Prng.int rng (fp.Floorplan.num_sites + 8) - 4;
+              c.Cell.y <- Mcl_geom.Prng.int rng (fp.Floorplan.num_rows + 2) - 1
+            end)
+         d.Design.cells;
+       let check = Mcl_eval.Routability_check.cell_pin_violations d in
+       let outside =
+         List.filter_map
+           (function Mcl_eval.Legality.Outside_region id -> Some id | _ -> None)
+           (Mcl_eval.Legality.check d)
+       in
+       List.sort Int.compare outside
+       = List.filter_map
+           (fun (c : Cell.t) ->
+              if c.Cell.is_fixed || region_ok_by_site d c then None
+              else Some c.Cell.id)
+           (Array.to_list d.Design.cells)
+       && Array.for_all
+            (fun (c : Cell.t) ->
+               check c ~x:c.Cell.x ~y:c.Cell.y
+               = pin_violations_all_pins d c ~x:c.Cell.x ~y:c.Cell.y)
+            d.Design.cells
+       && Mcl_eval.Routability_check.pin_violations d
+          = List.concat_map
+              (fun (c : Cell.t) ->
+                 if c.Cell.is_fixed then []
+                 else pin_violations_all_pins d c ~x:c.Cell.x ~y:c.Cell.y)
+              (Array.to_list d.Design.cells))
+
 let () =
   Alcotest.run "eval"
     [ ("metrics",
@@ -215,4 +326,6 @@ let () =
          Alcotest.test_case "short vs hrail" `Quick test_pin_short_hrail;
          Alcotest.test_case "access vs vrail" `Quick test_pin_access_vrail;
          Alcotest.test_case "access vs io" `Quick test_pin_vs_io;
-         Alcotest.test_case "edge spacing" `Quick test_edge_violation_detection ]) ]
+         Alcotest.test_case "edge spacing" `Quick test_edge_violation_detection ]);
+      ("fast-checks",
+       [ QCheck_alcotest.to_alcotest prop_fast_checks_match_definitions ]) ]

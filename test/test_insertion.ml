@@ -300,16 +300,87 @@ let test_kernel_matches_reference () =
     [ false; true ]
 
 (* the paper's Table-1 roster with fences and routability on, as the
-   CLI flow legalizes it *)
+   CLI flow legalizes it, plus two inputs where the windowed row scan
+   can go wrong: a roster design tiled 4x has rows far longer than a
+   window, and fixed macros (1/10 of the die wide, so the die must be
+   wide enough for a window to start inside one) are the widest cells
+   a row holds, so a scan bound that ignored them would drop obstacles
+   the reference kernel still sees *)
 let test_kernel_matches_reference_table1 () =
+  let tiled = List.nth (Mcl_gen.Suites.iccad2017 ~scale:0.1 ~replicate:4 ()) 0 in
+  let macros =
+    { Mcl_gen.Spec.default with
+      Mcl_gen.Spec.name = "macros";
+      num_cells = 600;
+      density = 0.5;
+      height_mix = [ (1, 0.8); (2, 0.2) ];
+      num_macros = 3;
+      seed = 5 }
+  in
   List.iter
     (fun spec ->
        let d = Mcl_gen.Generator.generate spec in
        let ok, _ = lockstep_equiv ~disp_from:`Gp Mcl.Config.default d in
        Alcotest.(check bool)
-         (Printf.sprintf "kernel == reference (%s)" spec.Mcl_gen.Spec.name)
+         (Printf.sprintf "kernel == reference (%s x%d)" spec.Mcl_gen.Spec.name
+            spec.Mcl_gen.Spec.replicate)
          true ok)
-    (Mcl_gen.Suites.iccad2017 ~scale:0.1 ())
+    (Mcl_gen.Suites.iccad2017 ~scale:0.1 () @ [ tiled; macros ])
+
+(* The obstacle scan reaches clip_pad past each window edge, because a
+   cell there still sets the edge type a sub-span keeps its spacing
+   to. One row, a fence at [fence_lo, fence_hi), a fenced cell just
+   outside the window and a region-0 target whose GP hugs that edge:
+   the target must keep spacing 2 from the fenced cell, exactly as the
+   whole-row oracle does. *)
+let edge_design ~fence_lo ~fence_hi ~fenced_x ~target_gp =
+  let fp =
+    Floorplan.make ~num_sites:40 ~num_rows:1
+      ~edge_spacing:[| [| 0; 0 |]; [| 0; 2 |] |] ()
+  in
+  let types =
+    [| Cell_type.make ~type_id:0 ~name:"t" ~width:2 ~height:1 ~edge_type:1 () |]
+  in
+  let fence =
+    Fence.make ~fence_id:1 ~name:"f"
+      ~rects:[ Rect.make ~xl:fence_lo ~yl:0 ~xh:fence_hi ~yh:1 ]
+  in
+  let fenced = Cell.make ~id:0 ~type_id:0 ~region:1 ~gp_x:fenced_x ~gp_y:0 () in
+  let target = Cell.make ~id:1 ~type_id:0 ~gp_x:target_gp ~gp_y:0 () in
+  Design.make ~name:"edge" ~floorplan:fp ~cell_types:types
+    ~cells:[| fenced; target |] ~fences:[| fence |] ()
+
+let test_window_edge_spacing () =
+  let cfg =
+    { Mcl.Config.default with
+      Mcl.Config.consider_routability = true;
+      consider_fences = true }
+  in
+  List.iter
+    (fun (what, d, window, expect_x) ->
+       let segments = Mcl.Segment.build ~respect_fences:true d in
+       let placement = Mcl.Placement.create d in
+       Mcl.Placement.add placement 0;
+       let ctx =
+         Mcl.Insertion.make_ctx cfg d ~placement ~segments
+           ~routability:(Some (Mcl.Routability.create d))
+       in
+       let a = Mcl.Insertion.best ctx ~target:1 ~window in
+       let r = Insertion_oracle.best ctx ~target:1 ~window in
+       Alcotest.(check bool) (what ^ ": kernel == reference") true
+         (same_candidate a r);
+       Alcotest.(check (option int)) (what ^ ": spacing kept") (Some expect_x)
+         (Option.map (fun c -> c.Mcl.Insertion.x) a))
+    [ (* window ends at the fence; the fenced cell starts one site
+         past the window edge *)
+      ("right edge",
+       edge_design ~fence_lo:20 ~fence_hi:40 ~fenced_x:21 ~target_gp:18,
+       Rect.make ~xl:0 ~yl:0 ~xh:20 ~yh:1, 16);
+      (* window starts at the fence end; the fenced cell ends one site
+         before the window edge *)
+      ("left edge",
+       edge_design ~fence_lo:0 ~fence_hi:20 ~fenced_x:17 ~target_gp:20,
+       Rect.make ~xl:20 ~yl:0 ~xh:40 ~yh:1, 22) ]
 
 (* a dense design exercises the pruner hard; ~check_pruning (above and
    here) fails the run if a pruned cut would have won, and the counters
@@ -377,6 +448,8 @@ let () =
            test_kernel_matches_reference;
          Alcotest.test_case "matches reference on Table-1 roster" `Quick
            test_kernel_matches_reference_table1;
+         Alcotest.test_case "spacing to obstacles past the window edge"
+           `Quick test_window_edge_spacing;
          Alcotest.test_case "pruning fires and is sound" `Quick
            test_pruning_fires_and_is_sound;
          Alcotest.test_case "arena reuse is stateless" `Quick

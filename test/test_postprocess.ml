@@ -183,6 +183,36 @@ let test_row_order_deterministic () =
   in
   check_same_positions "row-order" (run ()) (run ())
 
+(* Matching's candidate edges come from Array.sort over displacements,
+   an unstable sort whose order among ties depends on its exact
+   comparison sequence; a different sort picks different tied
+   neighbours and moves cells. These digests of every cell position
+   after MGL + matching pin that order on two Table-1 designs and one
+   design tiled 4x. *)
+let positions_digest (d : Design.t) =
+  let b = Buffer.create (16 * Array.length d.Design.cells) in
+  Array.iter
+    (fun (c : Cell.t) -> Printf.bprintf b "%d,%d;" c.Cell.x c.Cell.y)
+    d.Design.cells;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_matching_digests () =
+  let roster = Mcl_gen.Suites.iccad2017 ~scale:0.1 () in
+  let tiled = Mcl_gen.Suites.iccad2017 ~scale:0.1 ~replicate:4 () in
+  List.iter
+    (fun (spec, expected) ->
+       let d = Mcl_gen.Generator.generate spec in
+       let c = Mcl.Config.default in
+       ignore (Mcl.Scheduler.run c d);
+       ignore (Mcl.Matching_opt.run c d);
+       Alcotest.(check string)
+         (Printf.sprintf "positions after matching (%s x%d)"
+            spec.Mcl_gen.Spec.name spec.Mcl_gen.Spec.replicate)
+         expected (positions_digest d))
+    [ (List.nth roster 0, "c614372795ef168f8aeb617c9c7bc5f9");
+      (List.nth roster 5, "4bab41dae0c2370042a5633da2012435");
+      (List.nth tiled 2, "b106dbd48776be86a3162b86800644ba") ]
+
 (* ---------- scheduler (Sec 3.5) ---------- *)
 
 let test_scheduler_matches_sequential_quality () =
@@ -242,7 +272,9 @@ let () =
     [ ("matching",
        [ Alcotest.test_case "phi shape" `Quick test_phi;
          Alcotest.test_case "reduces phi" `Quick test_matching_reduces_phi;
-         QCheck_alcotest.to_alcotest prop_matching_preserves_legality ]);
+         QCheck_alcotest.to_alcotest prop_matching_preserves_legality;
+         Alcotest.test_case "positions pinned by digest" `Quick
+           test_matching_digests ]);
       ("row-order",
        [ Alcotest.test_case "improves objective" `Quick test_row_order_improves;
          Alcotest.test_case "preserves order" `Quick test_row_order_preserves_order;
