@@ -1515,6 +1515,11 @@ let exact ~scale () =
     | None -> assert false
   in
   let node_budget = 200_000 in
+  (* a fresh context per refinement, built inside the timed region: it
+     is part of what one refine call costs *)
+  let refine_ctx d =
+    Mcl.Mgl.context cfg d ~placement:(Mcl.Placement.of_design d)
+  in
   let sweep =
     List.map
       (fun (halfwidth, halfheight, max_cells) ->
@@ -1522,7 +1527,7 @@ let exact ~scale () =
          let s, wall =
            timed (fun () ->
                Refine.run ~node_budget ~max_cells ~halfwidth ~halfheight ~k:8
-                 ~gp_hpwl cfg d)
+                 ~gp_hpwl (refine_ctx d))
          in
          assert (Mcl_eval.Legality.is_legal d);
          assert (s.Refine.score_after <= s.Refine.score_before +. 1e-9);
@@ -1558,7 +1563,7 @@ let exact ~scale () =
       (fun spec ->
          let d, gp_hpwl = legalized spec in
          let s, wall =
-           timed (fun () -> Refine.run ~node_budget ~k:8 ~gp_hpwl cfg d)
+           timed (fun () -> Refine.run ~node_budget ~k:8 ~gp_hpwl (refine_ctx d))
          in
          assert (Mcl_eval.Legality.is_legal d);
          if s.Refine.score_after < s.Refine.score_before -. 1e-9 then

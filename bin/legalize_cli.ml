@@ -154,9 +154,13 @@ let run input suite scale algo threads shards window_halfwidth window_halfheight
                ~bin_sites:config.Mcl.Config.congestion_bin_sites design)
         else None
       in
+      let ctx =
+        Mcl.Mgl.context config design
+          ~placement:(Mcl.Placement.of_design design)
+      in
       Some
         (Mcl_exact.Refine.run ?congest ~node_budget:refine_nodes ~k:refine
-           ~gp_hpwl config design)
+           ~gp_hpwl ctx)
     end
     else None
   in

@@ -229,15 +229,13 @@ let undo t =
     move t ~cell ~x ~y;
     true
 
-let sync t ~before =
-  if Array.length before <> Design.num_cells t.design then
-    invalid_arg "Congestion.sync: snapshot size mismatch";
-  Array.iteri
-    (fun i (old_x, old_y) ->
-       let c = t.design.Design.cells.(i) in
+let sync t ~moved =
+  List.iter
+    (fun (cell, old_x, old_y) ->
+       let c = t.design.Design.cells.(cell) in
        if c.Cell.x <> old_x || c.Cell.y <> old_y then
-         refresh_cell t ~cell:i ~old_x ~old_y)
-    before
+         refresh_cell t ~cell ~old_x ~old_y)
+    moved
 
 (* ---------------------------------------------------------------- *)
 (* Queries                                                           *)
@@ -276,19 +274,36 @@ let summarize ?(top_k = 5) t =
   let n = Grid.num_bins t.grid in
   let total = ref 0.0 and worst = ref 0.0 and overfull = ref 0 in
   let max_pins = ref 0.0 in
-  let all = Array.init n (fun i -> (overflow t i, i)) in
-  Array.iter
-    (fun (ov, i) ->
-       total := !total +. ov;
-       if ov > !worst then worst := ov;
-       if ov > 0.0 then incr overfull;
-       let pd = pin_density t i in
-       if pd > !max_pins then max_pins := pd)
-    all;
-  (* overflow descending, bin index ascending: deterministic hotspots *)
-  Array.sort (fun (a, i) (b, j) -> compare (-.a, i) (-.b, j)) all;
+  (* the [top_k] worst bins so far, best first: overflow descending
+     (Float.compare), bin index ascending — deterministic hotspots,
+     picked in the same pass as the totals *)
+  let k = Int.max 0 (Int.min top_k n) in
+  let top_ov = Array.make k 0.0 and top_i = Array.make k 0 in
+  let kept = ref 0 in
+  (* bins arrive by ascending index, so an equal overflow never
+     outranks a kept one *)
+  let outranks ov j = Float.compare ov top_ov.(j) > 0 in
+  for i = 0 to n - 1 do
+    let ov = overflow t i in
+    total := !total +. ov;
+    if ov > !worst then worst := ov;
+    if ov > 0.0 then incr overfull;
+    let pd = pin_density t i in
+    if pd > !max_pins then max_pins := pd;
+    if !kept < k || (k > 0 && outranks ov (k - 1)) then begin
+      let p = ref (if !kept < k then !kept else k - 1) in
+      if !kept < k then incr kept;
+      while !p > 0 && outranks ov (!p - 1) do
+        top_ov.(!p) <- top_ov.(!p - 1);
+        top_i.(!p) <- top_i.(!p - 1);
+        decr p
+      done;
+      top_ov.(!p) <- ov;
+      top_i.(!p) <- i
+    end
+  done;
   let hotspots =
-    Array.to_list (Array.sub all 0 (min top_k n))
+    List.init !kept (fun j -> (top_ov.(j), top_i.(j)))
     |> List.filter (fun (ov, _) -> ov > 0.0)
     |> List.map (fun (ov, i) ->
         { bx = i mod t.grid.Grid.nx;

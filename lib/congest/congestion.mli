@@ -21,8 +21,8 @@
     under the net bboxes of the nets incident to that cell, O(bins
     touched): {!apply_move} journals the old position (for {!undo}),
     moves the cell and patches both maps; {!sync} reconciles the map
-    after an external bulk mutation (e.g. an ECO relegalization) from
-    a position snapshot taken before it. *)
+    after an external mutation (an ECO relegalization, a refine pass)
+    from the list of cells it moved. *)
 
 open Mcl_netlist
 
@@ -65,11 +65,12 @@ val undo : t -> bool
 
 val journal_depth : t -> int
 
-(** [sync t ~before] patches the maps after cells were moved outside
-    the map's control: [before] is the {!Design.snapshot} taken before
-    the mutation; every cell whose position changed is re-accounted.
-    Does not journal. *)
-val sync : t -> before:(int * int) array -> unit
+(** [sync t ~moved] patches the maps after cells were moved outside
+    the map's control: each [(cell, old_x, old_y)] names a moved cell
+    with the position the map still accounts it at (each cell at most
+    once; a cell back at that position is skipped). Costs the moved
+    cells' nets, not the design. Does not journal. *)
+val sync : t -> moved:(int * int * int) list -> unit
 
 (** {2 Per-bin queries} *)
 

@@ -18,7 +18,14 @@
     [S301-unplaceable-cell] bubbling up from the insertion machinery
     when a cell fits nowhere. Request validation runs {e before} any
     anchor is rebound, so a rejected call leaves the design
-    bit-identical. *)
+    bit-identical.
+
+    An ECO runs on a resident context ({!context}) that holds every
+    cell: it unregisters its own cells, re-inserts them, and so leaves
+    the context current for the next ECO. Every move and anchor rebind
+    is logged on the context first; on any failure the log is replayed
+    newest first, restoring the design exactly, and the context must
+    be discarded (its placement is not rolled back). *)
 
 open Mcl_netlist
 
@@ -35,18 +42,25 @@ type stats = {
       (** insertion-kernel counters for this ECO (see {!Mgl.stats}) *)
 }
 
-(** [relegalize ?targets config design ~cells] re-inserts [cells]
-    (ids) plus every cell named in [targets]. The rest of the placement
-    must be legal. Raises {!Mcl_analysis.Diagnostic.Failed} as
-    documented above.
+(** [context config design] is a resident ECO context: {!Mgl.context}
+    over a placement holding every cell at its current position, with
+    an undo log. Build it once and pass it to every {!relegalize} on
+    the design while no other code moves its cells. *)
+val context : Config.t -> Design.t -> Insertion.ctx
+
+(** [relegalize ?targets ctx ~cells] re-inserts [cells] (ids) plus
+    every cell named in [targets] into the design of [ctx]. The rest
+    of the placement must be legal. Raises
+    {!Mcl_analysis.Diagnostic.Failed} as documented above, and
+    [Invalid_argument] on a context without an undo log.
 
     [budget] is polled at every insertion-window attempt; expiry
-    raises {!Mcl_resilience.Budget.Deadline_exceeded} mid-mutation, so
-    budgeted callers must checkpoint (the service engine snapshots
-    positions and anchors). [greedy] places the ECO cells with the
-    bounded-cost emergency first-fit instead of windowed insertion —
-    the degraded mode served under deadline pressure (ignores
-    [budget]). *)
+    raises {!Mcl_resilience.Budget.Deadline_exceeded} mid-mutation,
+    after the log has restored the design. [greedy] places the ECO
+    cells with the bounded-cost emergency first-fit instead of
+    windowed insertion — the degraded mode served under deadline
+    pressure (ignores [budget]). On success, {!Insertion.moved} lists
+    the cells the run moved, with their positions before it. *)
 val relegalize :
   ?targets:(int * (int * int)) list -> ?budget:Mcl_resilience.Budget.t ->
-  ?greedy:bool -> Config.t -> Design.t -> cells:int list -> stats
+  ?greedy:bool -> Insertion.ctx -> cells:int list -> stats

@@ -12,7 +12,9 @@ type ctx = {
   disp_from : [ `Gp | `Current ];
   weights : float array;
   utilization : float;
+  reach : int;
   arena : Arena.t;
+  log : Arena.Ibuf.t option;
 }
 
 let utilization design =
@@ -30,7 +32,13 @@ let make_ctx ?(disp_from = `Gp) ?congest ?arena config design ~placement
     ~segments ~routability =
   let arena = match arena with Some a -> a | None -> Arena.create () in
   { design; placement; segments; config; routability; congest; disp_from;
-    utilization = utilization design; arena;
+    utilization = utilization design; arena; log = None;
+    (* widest cell type, fixed macros included: a cell ending after
+       site x starts after x - reach *)
+    reach =
+      Array.fold_left
+        (fun acc (ct : Cell_type.t) -> Int.max acc ct.Cell_type.width)
+        0 design.Design.cell_types;
     weights =
       (match config.Config.objective with
        | Config.Total -> Array.make (Design.num_cells design) 1.0
@@ -124,13 +132,7 @@ let build_window_arena ctx (a : Arena.t) ~target ~(window : Rect.t) =
       Array.fold_left (fun acc r -> Array.fold_left Int.max acc r) 0 t
     else 0
   in
-  (* widest cell type, fixed macros included: a cell ending after site
-     x starts after x - reach *)
-  let reach =
-    Array.fold_left
-      (fun acc (ct : Cell_type.t) -> Int.max acc ct.Cell_type.width)
-      0 design.Design.cell_types
-  in
+  let reach = ctx.reach in
   let nrows = max 0 (row_hi - row_lo) in
   (* clipped free spans, computed once per window row *)
   I.clear a.Arena.cs_off;
@@ -933,21 +935,91 @@ let best ?(check_pruning = false) ?arena ctx ~target ~window =
     end
   end
 
+(* ================================================================== *)
+(* Undo log                                                             *)
+(* ================================================================== *)
+
+(* Flat triples, oldest first: (cell, x, y) before a move, (lnot cell,
+   gp_x, gp_y) before an anchor rebind (lnot keeps the two apart, as
+   ids are >= 0). *)
+
+let log_move ctx (c : Cell.t) =
+  match ctx.log with
+  | None -> ()
+  | Some l ->
+    Arena.Ibuf.push l c.Cell.id;
+    Arena.Ibuf.push l c.Cell.x;
+    Arena.Ibuf.push l c.Cell.y
+
+let log_anchor ctx (c : Cell.t) =
+  match ctx.log with
+  | None -> ()
+  | Some l ->
+    Arena.Ibuf.push l (lnot c.Cell.id);
+    Arena.Ibuf.push l c.Cell.gp_x;
+    Arena.Ibuf.push l c.Cell.gp_y
+
+let clear_log ctx = Option.iter Arena.Ibuf.clear ctx.log
+
+let undo ctx =
+  match ctx.log with
+  | None -> ()
+  | Some l ->
+    let cells = ctx.design.Design.cells in
+    let a = l.Arena.Ibuf.a in
+    for e = (l.Arena.Ibuf.len / 3) - 1 downto 0 do
+      let k = a.(3 * e) and u = a.((3 * e) + 1) and v = a.((3 * e) + 2) in
+      if k >= 0 then begin
+        cells.(k).Cell.x <- u;
+        cells.(k).Cell.y <- v
+      end
+      else begin
+        let c = cells.(lnot k) in
+        c.Cell.gp_x <- u;
+        c.Cell.gp_y <- v
+      end
+    done
+
+let moved ctx =
+  match ctx.log with
+  | None -> []
+  | Some l ->
+    let marks = ctx.arena.Arena.marks in
+    Arena.Marks.ensure marks (Design.num_cells ctx.design);
+    Arena.Marks.next_epoch marks;
+    let a = l.Arena.Ibuf.a in
+    let acc = ref [] in
+    for e = 0 to (l.Arena.Ibuf.len / 3) - 1 do
+      let k = a.(3 * e) in
+      if k >= 0 && not (Arena.Marks.mem marks k) then begin
+        Arena.Marks.set marks k 0;
+        acc := (k, a.((3 * e) + 1), a.((3 * e) + 2)) :: !acc
+      end
+    done;
+    List.rev !acc
+
 let apply ctx ~target cand =
   let cells = ctx.design.Design.cells in
   List.iter
     (fun { cell; dist } ->
        let c = cells.(cell) in
        let nx = min c.Cell.x (cand.x - dist) in
-       c.Cell.x <- nx)
+       if nx <> c.Cell.x then begin
+         log_move ctx c;
+         c.Cell.x <- nx
+       end)
     cand.lefts;
   List.iter
     (fun { cell; dist } ->
        let c = cells.(cell) in
        let nx = max c.Cell.x (cand.x + dist) in
-       c.Cell.x <- nx)
+       if nx <> c.Cell.x then begin
+         log_move ctx c;
+         c.Cell.x <- nx
+       end)
     cand.rights;
   let t = cells.(target) in
+  log_move ctx t;
   t.Cell.x <- cand.x;
   t.Cell.y <- cand.y0;
   Placement.add ctx.placement target

@@ -28,9 +28,19 @@ type ctx = {
           (MGL); [`Current] from current positions (the MLL baseline). *)
   weights : float array;  (** curve weight per cell id *)
   utilization : float;    (** design utilization, computed once here *)
+  reach : int;
+      (** widest cell type of the design, fixed macros included: a
+          cell that ends after site [x] starts after [x - reach]. Bounds
+          the row scans of {!best} and of the exact solver. *)
   arena : Arena.t;
       (** default scratch arena for {!best}; single-owner, so parallel
           callers must pass their own via [?arena] *)
+  log : Arena.Ibuf.t option;
+      (** undo log of the mutation in progress, when the context keeps
+          one (the service's resident ECO context, see {!Eco.context});
+          [None] for batch flows, which pay one branch per move. Every
+          move made through {!apply}, {!Mgl.fallback_place} or the
+          refiner is logged before it happens. *)
 }
 
 (** Placement-area utilization of a design (used area / die area). *)
@@ -67,5 +77,26 @@ val best :
   ctx -> target:int -> window:Mcl_geom.Rect.t -> candidate option
 
 (** Commit a candidate: shifts local cells, moves the target and
-    registers it in the placement. *)
+    registers it in the placement. Logs every cell it moves. *)
 val apply : ctx -> target:int -> candidate -> unit
+
+(** {2 Undo log} — no-ops on a context without a log. *)
+
+(** Record a cell's current position before moving it. *)
+val log_move : ctx -> Cell.t -> unit
+
+(** Record a cell's current GP anchor before rebinding it. *)
+val log_anchor : ctx -> Cell.t -> unit
+
+(** Empty the log (the start of a new mutation). *)
+val clear_log : ctx -> unit
+
+(** Restore every logged position and anchor, newest entry first, so
+    the design is back where the log started. The placement is not
+    restored: the caller must discard the context. *)
+val undo : ctx -> unit
+
+(** [(cell, x, y)] for every cell the log saw move, once, with its
+    first logged position (where it stood when the log started), in
+    log order. A cell may since have come back to that position. *)
+val moved : ctx -> (int * int * int) list

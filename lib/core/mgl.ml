@@ -96,6 +96,7 @@ let fallback_place ?(relax_routability = false) (ctx : Insertion.ctx) target =
   done;
   match !best with
   | Some (y0, x, _) ->
+    Insertion.log_move ctx tgt;
     tgt.Cell.x <- x;
     tgt.Cell.y <- y0;
     Placement.add placement target;
@@ -223,7 +224,7 @@ let congest_map config design =
          ~bin_sites:config.Config.congestion_bin_sites design)
   else None
 
-let run ?(disp_from = `Gp) ?budget config design =
+let context ?disp_from ?congest config design ~placement =
   let segments =
     Segment.build ~boundary_gap:(boundary_gap config design)
       ~respect_fences:config.Config.consider_fences design
@@ -232,12 +233,19 @@ let run ?(disp_from = `Gp) ?budget config design =
     if config.Config.consider_routability then Some (Routability.create design)
     else None
   in
+  Insertion.make_ctx ?disp_from ?congest config design ~placement ~segments
+    ~routability
+
+let fixed_placement design =
   let placement = Placement.create design in
   Array.iter
     (fun (c : Cell.t) -> if c.Cell.is_fixed then Placement.add placement c.Cell.id)
     design.Design.cells;
+  placement
+
+let run ?(disp_from = `Gp) ?budget config design =
   let ctx =
-    Insertion.make_ctx ~disp_from ?congest:(congest_map config design) config
-      design ~placement ~segments ~routability
+    context ~disp_from ?congest:(congest_map config design) config design
+      ~placement:(fixed_placement design)
   in
   run_with_ctx ?budget ctx ~order:(default_order design)

@@ -37,6 +37,20 @@ val run_with_ctx :
   ?budget:Mcl_resilience.Budget.t -> ?greedy:bool -> Insertion.ctx ->
   order:int array -> stats
 
+(** [context ?disp_from ?congest config design ~placement] is the
+    insertion context every full-design flow runs on: segments built
+    with {!boundary_gap} and the config's fence setting, routability
+    tables when [config.consider_routability], over [placement] (which
+    the context then owns and keeps current). {!run} passes the fixed
+    cells only, the refiner and the ECO flow every cell. [congest] is
+    the soft-penalty prior (see {!congest_map}). *)
+val context :
+  ?disp_from:[ `Gp | `Current ] -> ?congest:Mcl_congest.Congestion.t ->
+  Config.t -> Design.t -> placement:Placement.t -> Insertion.ctx
+
+(** A placement holding the design's fixed cells only. *)
+val fixed_placement : Design.t -> Placement.t
+
 (** Boundary padding used when building segments for this config:
     half the largest edge-spacing rule when routability is on. *)
 val boundary_gap : Config.t -> Mcl_netlist.Design.t -> int

@@ -62,21 +62,9 @@ let run_jobs ~threads jobs =
 (* ---------------------------------------------------------------- *)
 
 let run_batched ~disp_from ?budget config design =
-  let segments =
-    Segment.build ~boundary_gap:(Mgl.boundary_gap config design)
-      ~respect_fences:config.Config.consider_fences design
-  in
-  let routability =
-    if config.Config.consider_routability then Some (Routability.create design)
-    else None
-  in
-  let placement = Placement.create design in
-  Array.iter
-    (fun (c : Cell.t) -> if c.Cell.is_fixed then Placement.add placement c.Cell.id)
-    design.Design.cells;
   let ctx =
-    Insertion.make_ctx ~disp_from ?congest:(Mgl.congest_map config design)
-      config design ~placement ~segments ~routability
+    Mgl.context ~disp_from ?congest:(Mgl.congest_map config design) config
+      design ~placement:(Mgl.fixed_placement design)
   in
   let die = Floorplan.die design.Design.floorplan in
   let waiting = Queue.create () in
@@ -279,14 +267,7 @@ let run_sharded ~disp_from ?budget ?shard_margin config design =
   (* single-owner state per stripe: placement, scratch arena, counters.
      Fixed cells are obstacles everywhere, so each stripe registers all
      of them. *)
-  let placements =
-    Array.init shards (fun _ ->
-        let p = Placement.create design in
-        Array.iter
-          (fun (c : Cell.t) -> if c.Cell.is_fixed then Placement.add p c.Cell.id)
-          design.Design.cells;
-        p)
-  in
+  let placements = Array.init shards (fun _ -> Mgl.fixed_placement design) in
   let arenas = Array.init shards (fun _ -> Arena.create ()) in
   let growths = Array.make shards 0 in
   let placed = Array.make shards 0 in

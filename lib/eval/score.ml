@@ -7,9 +7,6 @@ type t = {
   avg_disp : float;
   max_disp : float;
   score : float;
-  max_overflow : float;
-  avg_overflow : float;
-  overfull_bins : int;
 }
 
 let evaluate ~gp_hpwl design =
@@ -24,16 +21,9 @@ let evaluate ~gp_hpwl design =
     *. (1.0 +. (max_disp /. 100.0))
     *. avg_disp
   in
-  let congest = Metrics.congestion design in
   { s_hpwl; pin_violations = np; edge_violations = ne; avg_disp; max_disp;
-    score;
-    max_overflow = congest.Mcl_congest.Congestion.max_overflow;
-    avg_overflow = congest.Mcl_congest.Congestion.avg_overflow;
-    overfull_bins = congest.Mcl_congest.Congestion.overfull }
+    score }
 
 let pp ppf t =
-  Format.fprintf ppf
-    "score=%.4f (avg=%.3f max=%.1f s_hpwl=%.4f pins=%d edges=%d ovf=%.3f/%d \
-     bins)"
+  Format.fprintf ppf "score=%.4f (avg=%.3f max=%.1f s_hpwl=%.4f pins=%d edges=%d)"
     t.score t.avg_disp t.max_disp t.s_hpwl t.pin_violations t.edge_violations
-    t.max_overflow t.overfull_bins

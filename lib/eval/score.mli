@@ -12,9 +12,6 @@ type t = {
   avg_disp : float;      (** S_am, row heights *)
   max_disp : float;      (** row heights *)
   score : float;         (** Eq. 10 *)
-  max_overflow : float;  (** worst congestion-bin overflow (RUDY + pins) *)
-  avg_overflow : float;  (** mean bin overflow *)
-  overfull_bins : int;   (** bins with positive overflow *)
 }
 
 (** [evaluate ~gp_hpwl d] scores the current placement of [d] against

@@ -26,31 +26,36 @@ let cell_window design ~cell ~at ~halfwidth ~halfheight =
     ~xh:(cx + halfwidth) ~yh:(cy + halfheight)
 
 let worst_cells ?(k = 8) ~halfwidth ~halfheight design =
-  let acc = ref [] in
+  (* the [k] most displaced movable cells so far, worst first:
+     displacement descending (Float.compare), id ascending. Cells
+     arrive by ascending id, so an equal displacement never outranks a
+     kept one. *)
+  let k = Int.max 0 (Int.min k (Design.num_cells design)) in
+  let top_d = Array.make k 0.0 and top_id = Array.make k 0 in
+  let kept = ref 0 in
+  let outranks d j = Float.compare d top_d.(j) > 0 in
   Array.iter
     (fun (c : Cell.t) ->
        if not c.Cell.is_fixed then begin
          let d = Metrics.displacement design c in
-         if d > 0.0 then acc := (c.Cell.id, d) :: !acc
+         if d > 0.0 && (!kept < k || (k > 0 && outranks d (k - 1))) then begin
+           let p = ref (if !kept < k then !kept else k - 1) in
+           if !kept < k then incr kept;
+           while !p > 0 && outranks d (!p - 1) do
+             top_d.(!p) <- top_d.(!p - 1);
+             top_id.(!p) <- top_id.(!p - 1);
+             decr p
+           done;
+           top_d.(!p) <- d;
+           top_id.(!p) <- c.Cell.id
+         end
        end)
     design.Design.cells;
-  let ranked =
-    List.sort
-      (fun (ia, da) (ib, db) ->
-         let c = Float.compare db da in
-         if c <> 0 then c else Int.compare ia ib)
-      !acc
-  in
-  let rec take n = function
-    | [] -> []
-    | _ when n <= 0 -> []
-    | (id, d) :: tl ->
-      { w_cell = id; w_disp = d;
+  List.init !kept (fun j ->
+      let id = top_id.(j) in
+      { w_cell = id; w_disp = top_d.(j);
         w_window =
-          cell_window design ~cell:id ~at:`Current ~halfwidth ~halfheight }
-      :: take (n - 1) tl
-  in
-  take k ranked
+          cell_window design ~cell:id ~at:`Current ~halfwidth ~halfheight })
 
 let hotspot_windows ?(k = 4) ~halfwidth ~halfheight cmap design =
   let grid = Mcl_congest.Congestion.grid cmap in

@@ -2,8 +2,6 @@ module Rect = Mcl_geom.Rect
 module Interval = Mcl_geom.Interval
 module Insertion = Mcl.Insertion
 module Placement = Mcl.Placement
-module Segment = Mcl.Segment
-module Routability = Mcl.Routability
 module Config = Mcl.Config
 module Budget = Mcl_resilience.Budget
 module Score = Mcl_eval.Score
@@ -94,7 +92,10 @@ let select_cells design config ~(window : Rect.t) ~seed ~max_cells =
   let picked = take budget others in
   match seed with Some id -> id :: picked | None -> picked
 
-let apply_moves design placement moves =
+(* Move cells through the context: its placement stays current and
+   its undo log (when it has one) sees every move. *)
+let apply_moves (ctx : Insertion.ctx) moves =
+  let design = ctx.Insertion.design and placement = ctx.Insertion.placement in
   List.iter
     (fun (m : Solver.move) ->
        if Placement.mem placement m.mv_cell then
@@ -103,6 +104,7 @@ let apply_moves design placement moves =
   List.iter
     (fun (m : Solver.move) ->
        let c = design.Design.cells.(m.mv_cell) in
+       Insertion.log_move ctx c;
        c.Cell.x <- m.mv_x;
        c.Cell.y <- m.mv_y)
     moves;
@@ -110,26 +112,16 @@ let apply_moves design placement moves =
 
 let run ?budget ?(node_budget = 200_000) ?(max_cells = 10)
     ?(halfwidth = default_halfwidth) ?(halfheight = default_halfheight)
-    ?congest ~k ~gp_hpwl config design =
+    ?congest ~k ~gp_hpwl (ctx : Insertion.ctx) =
+  let design = ctx.Insertion.design and config = ctx.Insertion.config in
+  Insertion.clear_log ctx;
   let score0 = Score.evaluate ~gp_hpwl design in
   if k <= 0 then
     { windows = 0; accepted = 0; proven = 0; budget_exhausted = 0; nodes = 0;
       subopt_cost = 0.0; score_before = score0.Score.score;
       score_after = score0.Score.score; outcomes = [] }
   else begin
-    let segments =
-      Segment.build ~boundary_gap:(Mcl.Mgl.boundary_gap config design)
-        ~respect_fences:config.Config.consider_fences design
-    in
-    let routability =
-      if config.Config.consider_routability then Some (Routability.create design)
-      else None
-    in
-    let placement = Placement.of_design design in
-    let ctx =
-      Insertion.make_ctx ~disp_from:`Gp ?congest config design ~placement
-        ~segments ~routability
-    in
+    let ctx = { ctx with Insertion.congest } in
     (* window list: worst-displacement anchors first, congestion
        hotspots after (when a map is available) *)
     let disp_seeds = Windows.worst_cells ~k ~halfwidth ~halfheight design in
@@ -185,7 +177,7 @@ let run ?budget ?(node_budget = 200_000) ?(max_cells = 10)
                         mv_y = c.Cell.y })
                    res.Solver.moves
                in
-               apply_moves design placement res.Solver.moves;
+               apply_moves ctx res.Solver.moves;
                let vio = List.length (Legality.check design) in
                let score = (Score.evaluate ~gp_hpwl design).Score.score in
                if vio <= !cur_vio && score <= !cur_score then begin
@@ -194,7 +186,7 @@ let run ?budget ?(node_budget = 200_000) ?(max_cells = 10)
                  true
                end
                else begin
-                 apply_moves design placement prev;
+                 apply_moves ctx prev;
                  false
                end
              end

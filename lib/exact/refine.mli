@@ -14,8 +14,6 @@
     [k = 0] is a guaranteed no-op: the design is not touched and the
     score is merely measured. *)
 
-open Mcl_netlist
-
 type outcome = {
   o_window : Mcl_geom.Rect.t;
   o_seed : int option;  (** seed cell id; [None] for hotspot windows *)
@@ -45,15 +43,21 @@ type stats = {
 val default_halfwidth : int
 val default_halfheight : int
 
-(** Refine [design] (already legalized) in place.  [k] bounds the
+(** Refine the design of [ctx] (already legalized) in place.  [ctx]
+    must hold every cell of its design (build it with {!Mcl.Mgl.context}
+    over [Placement.of_design], or reuse the service's resident ECO
+    context); accepted moves go through it, so its placement stays
+    current and its undo log, if any, records them.  [k] bounds the
     number of windows examined; [node_budget] bounds each solve;
     [max_cells] caps the instance size per window (nearest-to-seed
     wins, deterministically); [congest] adds hotspot windows and the
-    soft congestion term to the solver's objective.  [budget] is the
-    usual cooperative deadline, checked between windows and inside
-    each solve. *)
+    soft congestion term to the solver's objective (it replaces the
+    context's prior for the pass).  [budget] is the usual cooperative
+    deadline, checked between windows and inside each solve; on
+    expiry the design and the context are left mid-pass, so callers
+    roll back and discard the context. *)
 val run :
   ?budget:Mcl_resilience.Budget.t -> ?node_budget:int -> ?max_cells:int ->
   ?halfwidth:int -> ?halfheight:int ->
   ?congest:Mcl_congest.Congestion.t ->
-  k:int -> gp_hpwl:int -> Mcl.Config.t -> Design.t -> stats
+  k:int -> gp_hpwl:int -> Mcl.Insertion.ctx -> stats

@@ -108,9 +108,30 @@ let build (ctx : Insertion.ctx) ~window ~cells:cell_ids =
         let spans =
           List.filter_map clip (Segment.spans ctx.Insertion.segments ~row ~region:reg)
         in
-        let arr, len = Placement.row_cells ctx.Insertion.placement row in
+        (* Only cells with x in [win_lo - clip_pad - reach, win_hi +
+           clip_pad] can change a sub-span, the bound the insertion
+           kernel scans with (Insertion.build_window_arena). Every
+           clipped span [s_lo, s_hi) lies inside [win_lo, win_hi] and a
+           cell is at least one site wide, so a skipped cell is either
+           - left: it ends at or before win_lo - clip_pad <= s_lo -
+             clip_pad (reach bounds every width, fixed cells
+             included), so it overlaps no span, ends no closer than
+             clip_pad to one and starts left of every span end; or
+           - right: it starts after win_hi + clip_pad >= s_hi +
+             clip_pad, so it neither overlaps a span nor starts within
+             clip_pad of its end; it can pass the "ends left of the
+             boundary" test only once cur_lo has reached past s_hi,
+             after which nothing is pushed and cur_et is not read.
+           Instance cells are skipped either way, and the kept cells
+           keep their row order. *)
+        let arr, _ = Placement.row_cells ctx.Insertion.placement row in
+        let first, last =
+          Placement.x_range ctx.Insertion.placement ~row
+            ~lo:(win_lo - clip_pad - ctx.Insertion.reach)
+            ~hi:(win_hi + clip_pad)
+        in
         let obstacles = ref [] in
-        for i = len - 1 downto 0 do
+        for i = last - 1 downto first do
           let id = arr.(i) in
           if not in_inst.(id) then begin
             let c = cells.(id) in

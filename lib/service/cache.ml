@@ -21,6 +21,7 @@ type entry = {
   mutable legalized : bool;
   mutable eco_count : int;
   mutable congest : Mcl_congest.Congestion.t option;
+  mutable ctx : Mcl.Insertion.ctx option;
   mutable refine : refine_note option;
   mutable dirty : bool;
   mutable pinned : bool;

@@ -56,7 +56,15 @@ type entry = {
       (** congestion map over the entry's current placement, built
           lazily on the first [query] and from then on kept
           incrementally current: [eco] and [refine] patch it from the
-          position diff, [legalize] rebuilds it (see {!Engine}) *)
+          cells they moved, [legalize] rebuilds it (see {!Engine}) *)
+  mutable ctx : Mcl.Insertion.ctx option;
+      (** resident insertion context ({!Mcl.Eco.context}): every cell
+          registered, plus segments, routability tables, curve weights
+          and a scratch arena. Built lazily by the first [eco] or
+          [refine]; both leave it current on success. [legalize] and
+          any failed mutation drop it; [load], snapshot restore and
+          recovery create entries without one. Single-owner under the
+          batch discipline, like the rest of the entry. *)
   mutable refine : refine_note option;  (** latest [refine] summary *)
   mutable dirty : bool;
       (** mutated since the last snapshot; blocks eviction *)

@@ -104,9 +104,10 @@ let account t resp ~op =
       (match m with Some m -> max 0 (m.Protocol.coalesced - 1) | None -> 0);
   resp
 
-(* Positions and anchors both roll back: ECO target overrides rebind
-   GP anchors before insertion, so a half-applied failed mutation must
-   undo both to leave the entry bit-identical. *)
+(* Snapshot rollback, for the mutations that may move any cell
+   (legalize, refine): positions and anchors both roll back, so a
+   half-applied failed mutation leaves the entry bit-identical. An eco
+   rolls back from its own undo log instead (see [Mcl.Eco]). *)
 let transactional (entry : Cache.entry) f =
   let pos = Design.snapshot entry.Cache.design in
   let anchors = Design.snapshot_anchors entry.Cache.design in
@@ -154,6 +155,31 @@ let congest_of t (entry : Cache.entry) =
     in
     entry.Cache.congest <- Some m;
     m
+
+(* The entry's resident insertion context, built on first use. A
+   successful eco or refine leaves it current. *)
+let ctx_of t (entry : Cache.entry) =
+  match entry.Cache.ctx with
+  | Some ctx -> ctx
+  | None ->
+    let ctx = Mcl.Eco.context t.config entry.Cache.design in
+    entry.Cache.ctx <- Some ctx;
+    ctx
+
+(* Any failed mutation drops the resident context: the design has been
+   rolled back, the context's placement has not. *)
+let dropping_ctx (entry : Cache.entry) f =
+  try f ()
+  with e ->
+    entry.Cache.ctx <- None;
+    raise e
+
+(* Patch the tracked congestion map from the cells the last eco or
+   refine moved (their first logged positions). *)
+let sync_congestion (entry : Cache.entry) =
+  match (entry.Cache.congest, entry.Cache.ctx) with
+  | Some m, Some ctx -> Congestion.sync m ~moved:(Mcl.Insertion.moved ctx)
+  | _ -> ()
 
 let congestion_json (s : Congestion.summary) =
   Json.Obj
@@ -248,7 +274,7 @@ let exec_load t req ~key ~source =
     let entry =
       { Cache.key; design; gp_hpwl; source = source_name;
         load_wire = wire; loaded_at = started; legalized = false;
-        eco_count = 0; congest = None; refine = None; dirty = true;
+        eco_count = 0; congest = None; ctx = None; refine = None; dirty = true;
         pinned = false; last_used = 0; dedup = [] }
     in
     note_evicted t (Cache.put t.cache entry);
@@ -272,6 +298,9 @@ let exec_legalize t (entry : Cache.entry) req ~greedy:greedy_op =
   let id = req.Protocol.id in
   let design = entry.Cache.design in
   let before_disp = total_disp_rows design in
+  (* every variant may move any cell, and a failure restores from the
+     snapshot: the resident context is rebuilt by the next eco *)
+  entry.Cache.ctx <- None;
   (* common tail of every successful variant (full, greedy, degraded):
      refresh legality/congestion state, journal what was applied *)
   let finish ?work ~degraded mode_fields =
@@ -359,11 +388,10 @@ let exec_legalize t (entry : Cache.entry) req ~greedy:greedy_op =
 (* Exact worst-window refinement (offline quality mode).  Success
    means the whole pass completed: a deadline expiry mid-pass rolls
    everything back (P430), so the journaled form — k and node budget,
-   deadline stripped — replays deterministically.  The lazily-built
-   congestion map is patched from the position diff exactly like eco
-   (sync-from-snapshot, not rebuild): refine moves a handful of cells,
-   so diffing is cheap and the incremental == rebuild invariant is
-   kept testable. *)
+   deadline stripped — replays deterministically.  The pass runs on the
+   entry's resident context and keeps it current; the lazily-built
+   congestion map is patched from the cells it moved, exactly like
+   eco, so the incremental == rebuild invariant is kept testable. *)
 let exec_refine t (entry : Cache.entry) req ~k ~node_budget =
   let started = now t in
   let id = req.Protocol.id in
@@ -375,24 +403,17 @@ let exec_refine t (entry : Cache.entry) req ~k ~node_budget =
       Some (congest_of t entry)
     else None
   in
-  (* after [congest_of]: a map built for the solver is tracked too *)
-  let pos_before =
-    match entry.Cache.congest with
-    | Some _ -> Some (Design.snapshot design)
-    | None -> None
-  in
   match
     transactional entry (fun () ->
-        Budget.check_now budget;
-        inject_stage t ~stage:"refine";
-        Mcl_exact.Refine.run ?budget ?congest ~node_budget ~k
-          ~gp_hpwl:entry.Cache.gp_hpwl t.config design)
+        dropping_ctx entry (fun () ->
+            Budget.check_now budget;
+            inject_stage t ~stage:"refine";
+            Mcl_exact.Refine.run ?budget ?congest ~node_budget ~k
+              ~gp_hpwl:entry.Cache.gp_hpwl (ctx_of t entry)))
   with
   | stats ->
     entry.Cache.dirty <- true;
-    (match (entry.Cache.congest, pos_before) with
-     | Some m, Some before -> Congestion.sync m ~before
-     | _ -> ());
+    sync_congestion entry;
     entry.Cache.refine <-
       Some
         { Cache.rn_windows = stats.Mcl_exact.Refine.windows;
@@ -564,7 +585,7 @@ let exec_stats t req =
          ("designs", Json.List designs) ])
 
 (* One coalesced run of adjacent eco requests against one design: one
-   snapshot, one merged [Eco.relegalize], one segment rebuild. Each
+   merged [Eco.relegalize] on the entry's resident context. Each
    request keeps its own response. On failure the run rolls back and,
    if it had more than one member, the members are retried one by one
    so a single bad request cannot poison its batch-mates; only the
@@ -609,29 +630,21 @@ let rec exec_eco_run t (entry : Cache.entry) run =
     let cells, targets, _ = payload req in
     List.sort_uniq compare (cells @ List.map fst targets)
   in
-  (* snapshot only when a map is tracked: on success the map is patched
-     from the position diff, on failure [transactional] rolls the
-     design back so the map is still current untouched *)
-  let pos_before =
-    match entry.Cache.congest with
-    | Some _ -> Some (Design.snapshot design)
-    | None -> None
-  in
   (* the run boundary is a cancellation point; the greedy path is the
-     degradation escape hatch and is never cancelled itself *)
+     degradation escape hatch and is never cancelled itself. A failed
+     run has restored the design from its undo log, so the tracked
+     congestion map is still current untouched. *)
   let attempt ~greedy () =
-    transactional entry (fun () ->
+    dropping_ctx entry (fun () ->
         if not greedy then Budget.check_now budget;
         inject_stage t ~stage:"eco";
         Mcl.Eco.relegalize ~targets:merged_targets
           ?budget:(if greedy then None else budget)
-          ~greedy t.config design ~cells:merged_cells)
+          ~greedy (ctx_of t entry) ~cells:merged_cells)
   in
   let succeed ~degraded stats =
     entry.Cache.dirty <- true;
-    (match (entry.Cache.congest, pos_before) with
-     | Some m, Some before -> Congestion.sync m ~before
-     | _ -> ());
+    sync_congestion entry;
     if degraded then note_deadline t ~degraded:true;
     let k = stats.Mcl.Eco.kernel in
     note_kernel t k;

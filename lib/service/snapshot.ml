@@ -193,9 +193,10 @@ let restore_design engine ~received line =
                     Option.value (Json.get_int "eco_count" j) ~default:0;
                   entry.Cache.dirty <- false;
                   (* the re-executed load left a stale congestion map
-                     seed; drop it so the first query rebuilds over the
-                     restored placement *)
+                     seed; drop it (and any resident context) so both
+                     are rebuilt over the restored placement *)
                   entry.Cache.congest <- None;
+                  entry.Cache.ctx <- None;
                   true
                 | _ -> false)))
      | _ -> false)

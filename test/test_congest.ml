@@ -111,16 +111,21 @@ let test_sync_after_eco () =
   let cfg = Mcl.Config.default in
   ignore (Mcl.Pipeline.run cfg d);
   let m = C.create d in
-  let before = Design.snapshot d in
   let victims = [ 3; 50; 123; 200 ] in
+  (* drop the victims onto cell 0 through the map, then re-insert them
+     outside its control and patch it from the eco's undo log *)
   List.iter
     (fun id ->
-       let c = d.Design.cells.(id) in
-       c.Cell.x <- d.Design.cells.(0).Cell.x;
-       c.Cell.y <- d.Design.cells.(0).Cell.y)
+       let c0 = d.Design.cells.(0) in
+       C.apply_move m ~cell:id ~x:c0.Cell.x ~y:c0.Cell.y)
     victims;
-  ignore (Mcl.Eco.relegalize cfg d ~cells:victims);
-  C.sync m ~before;
+  let ctx = Mcl.Eco.context cfg d in
+  ignore (Mcl.Eco.relegalize ctx ~cells:victims);
+  let moved = Mcl.Insertion.moved ctx in
+  Alcotest.(check bool) "every victim logged" true
+    (List.for_all (fun v -> List.exists (fun (c, _, _) -> c = v) moved) victims);
+  Alcotest.(check bool) "stale before sync" false (C.equal m (C.create d));
+  C.sync m ~moved;
   Alcotest.(check bool) "synced == fresh" true (C.equal m (C.create d))
 
 (* Golden aggregates of the GP state of the bench's congested design
@@ -199,13 +204,63 @@ let test_positive_weight_tradeoff () =
     (Printf.sprintf "avg disp bounded (%.3f -> %.3f)" disp0 disp1)
     true (disp1 -. disp0 < 0.25)
 
+(* Hotspots against the full sort they replace (overflow descending,
+   bin index ascending, first [top_k], positive only). Small bins make
+   equal overflows common; [top_k] ranges over 0 .. 12. *)
+let full_sort_hotspots m ~top_k =
+  let n = G.num_bins (C.grid m) in
+  let all = Array.init n (fun i -> (C.overflow m i, i)) in
+  Array.sort (fun (a, i) (b, j) -> compare (-.a, i) (-.b, j)) all;
+  Array.to_list (Array.sub all 0 (min top_k n))
+  |> List.filter (fun (ov, _) -> ov > 0.0)
+
+let hotspot_pairs m ~top_k =
+  let nx = (C.grid m).G.nx in
+  List.map
+    (fun (h : C.hotspot) -> (h.C.hs_overflow, (h.C.by * nx) + h.C.bx))
+    (C.summarize ~top_k m).C.hotspots
+
+let prop_hotspots_match_full_sort =
+  QCheck.Test.make ~name:"summarize hotspots == full sort" ~count:40
+    QCheck.(triple (int_range 1 1000) (int_range 1 8) (int_range 0 12))
+    (fun (seed, bin_sites, top_k) ->
+       let m = C.create ~bin_sites (gen_design ~num_cells:200 seed) in
+       hotspot_pairs m ~top_k = full_sort_hotspots m ~top_k)
+
+(* The same oracle on maps chosen to have equal overflows straddling
+   the cut, so the index tie-break decides which bins are kept. *)
+let test_hotspot_ties () =
+  let cases = ref 0 in
+  for seed = 1 to 30 do
+    let m = C.create ~bin_sites:1 (gen_design ~num_cells:200 seed) in
+    let sorted = full_sort_hotspots m ~top_k:max_int in
+    List.iteri
+      (fun k (ov, _) ->
+         match List.nth_opt sorted (k + 1) with
+         | Some (ov', _) when ov' = ov && k < 12 ->
+           incr cases;
+           let top_k = k + 1 in
+           Alcotest.(check bool)
+             (Printf.sprintf "seed %d top_k %d" seed top_k)
+             true
+             (hotspot_pairs m ~top_k = full_sort_hotspots m ~top_k)
+         | Some _ | None -> ())
+      sorted
+  done;
+  Alcotest.(check bool) "ties at the cut were found" true (!cases > 0);
+  (* k = 0 asks for no hotspots at all *)
+  let m = C.create (gen_design 3) in
+  Alcotest.(check int) "k = 0" 0 (List.length (hotspot_pairs m ~top_k:0))
+
 let () =
   Alcotest.run "congest"
     [ ("maps",
        [ Alcotest.test_case "tiny accounting" `Quick test_tiny_accounting;
          Alcotest.test_case "randomized moves/undo" `Quick test_randomized_moves;
          Alcotest.test_case "sync after eco" `Quick test_sync_after_eco;
-         Alcotest.test_case "golden hotspots" `Quick test_golden_hotspots ]);
+         Alcotest.test_case "golden hotspots" `Quick test_golden_hotspots;
+         Alcotest.test_case "hotspot ties at the cut" `Quick test_hotspot_ties;
+         QCheck_alcotest.to_alcotest prop_hotspots_match_full_sort ]);
       ("pipeline",
        [ Alcotest.test_case "zero-weight gating" `Quick test_zero_weight_gating;
          Alcotest.test_case "positive-weight trade-off" `Slow

@@ -24,7 +24,7 @@ let test_eco_restores_legality () =
        c.Cell.y <- d.Design.cells.(0).Cell.y)
     victims;
   Alcotest.(check bool) "broken before" false (Mcl_eval.Legality.is_legal d);
-  let s = Mcl.Eco.relegalize cfg d ~cells:victims in
+  let s = Mcl.Eco.relegalize (Mcl.Eco.context cfg d) ~cells:victims in
   Alcotest.(check int) "all reinserted" 3 s.Mcl.Eco.relegalized;
   Alcotest.(check bool) "legal after" true (Mcl_eval.Legality.is_legal d);
   (* displacement stats measure the re-inserted cells from GP anchors *)
@@ -48,7 +48,9 @@ let test_eco_targets_move_cell () =
   let fp = d.Design.floorplan in
   (* ask for the far corner *)
   let tx = fp.Floorplan.num_sites - 20 and ty = fp.Floorplan.num_rows - 2 in
-  ignore (Mcl.Eco.relegalize ~targets:[ (id, (tx, ty)) ] cfg d ~cells:[]);
+  ignore
+    (Mcl.Eco.relegalize ~targets:[ (id, (tx, ty)) ] (Mcl.Eco.context cfg d)
+       ~cells:[]);
   Alcotest.(check bool) "legal" true (Mcl_eval.Legality.is_legal d);
   let dist = abs (c.Cell.x - tx) + abs (c.Cell.y - ty) in
   Alcotest.(check bool)
@@ -77,7 +79,8 @@ let test_eco_rejects_fixed () =
      request must leave the design bit-identical *)
   let pos = Design.snapshot d and anchors = Design.snapshot_anchors d in
   (match
-     Mcl.Eco.relegalize Mcl.Config.default d
+     Mcl.Eco.relegalize
+       (Mcl.Eco.context Mcl.Config.default d)
        ~targets:[ (0, (1, 1)) ] ~cells:[ macro.Cell.id ]
    with
    | _ -> Alcotest.fail "fixed cell was accepted"
@@ -87,7 +90,10 @@ let test_eco_rejects_fixed () =
   Alcotest.(check bool) "positions untouched" true (pos = Design.snapshot d);
   Alcotest.(check bool) "anchors untouched" true
     (anchors = Design.snapshot_anchors d);
-  (match Mcl.Eco.relegalize Mcl.Config.default d ~cells:[ 99_999 ] with
+  (match
+     Mcl.Eco.relegalize (Mcl.Eco.context Mcl.Config.default d)
+       ~cells:[ 99_999 ]
+   with
    | _ -> Alcotest.fail "unknown cell was accepted"
    | exception e ->
      Alcotest.(check (option string)) "S302 code"
@@ -104,7 +110,7 @@ let prop_eco_preserves_rest =
        let victim = seed mod 200 in
        if d.Design.cells.(victim).Cell.is_fixed then true
        else begin
-         ignore (Mcl.Eco.relegalize cfg d ~cells:[ victim ]);
+         ignore (Mcl.Eco.relegalize (Mcl.Eco.context cfg d) ~cells:[ victim ]);
          (* cells further than the largest window from the victim's GP
             cannot have moved *)
          let v = d.Design.cells.(victim) in

@@ -310,6 +310,47 @@ let prop_fast_checks_match_definitions =
                  else pin_violations_all_pins d c ~x:c.Cell.x ~y:c.Cell.y)
               (Array.to_list d.Design.cells))
 
+(* -- worst windows -- *)
+
+(* The worst cells against the full sort they replace (displacement
+   descending, id ascending, first [k]). Positions jitter by a few
+   sites and at most a row from GP, so equal displacements are
+   common; [k] ranges over 0 .. 12. *)
+let prop_worst_cells_match_full_sort =
+  QCheck.Test.make ~name:"worst_cells == full sort" ~count:60
+    QCheck.(pair (int_range 1 100000) (int_range 0 12))
+    (fun (seed, k) ->
+       let d =
+         Mcl_gen.Generator.generate
+           { Mcl_gen.Spec.default with
+             Mcl_gen.Spec.seed; num_cells = 120; name = "wc" }
+       in
+       let rng = Mcl_geom.Prng.create seed in
+       Array.iter
+         (fun (c : Cell.t) ->
+            if not c.Cell.is_fixed then begin
+              c.Cell.x <- c.Cell.gp_x + Mcl_geom.Prng.int_in rng (-3) 3;
+              c.Cell.y <- c.Cell.gp_y + Mcl_geom.Prng.int_in rng (-1) 1
+            end)
+         d.Design.cells;
+       let oracle =
+         Array.to_list d.Design.cells
+         |> List.filter_map (fun (c : Cell.t) ->
+             let disp = Mcl_eval.Metrics.displacement d c in
+             if c.Cell.is_fixed || not (disp > 0.0) then None
+             else Some (c.Cell.id, disp))
+         |> List.sort (fun (ia, da) (ib, db) ->
+             let c = Float.compare db da in
+             if c <> 0 then c else Int.compare ia ib)
+         |> List.filteri (fun i _ -> i < k)
+       in
+       let got =
+         Mcl_eval.Windows.worst_cells ~k ~halfwidth:12 ~halfheight:2 d
+         |> List.map (fun (w : Mcl_eval.Windows.worst) ->
+             (w.Mcl_eval.Windows.w_cell, w.Mcl_eval.Windows.w_disp))
+       in
+       got = oracle)
+
 let () =
   Alcotest.run "eval"
     [ ("metrics",
@@ -328,4 +369,6 @@ let () =
          Alcotest.test_case "access vs io" `Quick test_pin_vs_io;
          Alcotest.test_case "edge spacing" `Quick test_edge_violation_detection ]);
       ("fast-checks",
-       [ QCheck_alcotest.to_alcotest prop_fast_checks_match_definitions ]) ]
+       [ QCheck_alcotest.to_alcotest prop_fast_checks_match_definitions ]);
+      ("worst-cells",
+       [ QCheck_alcotest.to_alcotest prop_worst_cells_match_full_sort ]) ]

@@ -13,23 +13,13 @@ module Windows = Mcl_eval.Windows
 open Mcl_netlist
 
 (* ---------------------------------------------------------------- *)
-(* Shared: build an insertion ctx over a legalized design, the same   *)
-(* way the refiner does.                                             *)
+(* Shared: the insertion ctx the refiner runs on, over a legalized    *)
+(* design with every cell registered.                                *)
 (* ---------------------------------------------------------------- *)
 
 let make_ctx ?congest config design =
-  let segments =
-    Mcl.Segment.build ~boundary_gap:(Mcl.Mgl.boundary_gap config design)
-      ~respect_fences:config.Mcl.Config.consider_fences design
-  in
-  let routability =
-    if config.Mcl.Config.consider_routability then
-      Some (Mcl.Routability.create design)
-    else None
-  in
-  let placement = Mcl.Placement.of_design design in
-  Mcl.Insertion.make_ctx ~disp_from:`Gp ?congest config design ~placement
-    ~segments ~routability
+  Mcl.Mgl.context ?congest config design
+    ~placement:(Mcl.Placement.of_design design)
 
 (* ---------------------------------------------------------------- *)
 (* Brute force vs branch-and-bound, bit-for-bit                      *)
@@ -89,8 +79,65 @@ let cells_in_window design ~window ~max_cells =
     design.Design.cells;
   List.rev !picked
 
+(* Solve [t] both ways; the optimal costs must agree to the last bit.
+   Returns the B&B moves. *)
+let check_bnb_vs_brute what t =
+  let res = Solver.solve ~max_nodes:5_000_000 t in
+  Alcotest.(check bool) (what ^ " proven") true
+    (res.Solver.verdict = Solver.Proven);
+  let brute = brute_force t in
+  if brute = infinity then
+    Alcotest.(check (list (triple int int int)))
+      "no feasible assignment: no moves" []
+      (List.map
+         (fun (m : Solver.move) -> (m.Solver.mv_cell, m.Solver.mv_x, m.Solver.mv_y))
+         res.Solver.moves)
+  else
+    Alcotest.(check int64)
+      (what ^ ": brute == B&B bit-for-bit")
+      (Int64.bits_of_float brute)
+      (Int64.bits_of_float res.Solver.best_cost);
+  res.Solver.moves
+
+(* The obstacle scan reaches clip_pad past each window edge, and reach
+   further on the left, because a cell there still sets the edge type
+   a sub-span keeps its spacing to. One row, a fence at [fence_lo,
+   fence_hi), a fenced cell just outside the window and a region-0
+   instance cell whose GP hugs that edge: the optimum must keep
+   spacing 2 from the fenced cell. *)
+let edge_design ~fence_lo ~fence_hi ~fenced_x ~target_gp =
+  let fp =
+    Floorplan.make ~num_sites:40 ~num_rows:1
+      ~edge_spacing:[| [| 0; 0 |]; [| 0; 2 |] |] ()
+  in
+  let types =
+    [| Cell_type.make ~type_id:0 ~name:"t" ~width:2 ~height:1 ~edge_type:1 () |]
+  in
+  let fence =
+    Fence.make ~fence_id:1 ~name:"f"
+      ~rects:[ Rect.make ~xl:fence_lo ~yl:0 ~xh:fence_hi ~yh:1 ]
+  in
+  let fenced = Cell.make ~id:0 ~type_id:0 ~region:1 ~gp_x:fenced_x ~gp_y:0 () in
+  let target = Cell.make ~id:1 ~type_id:0 ~gp_x:target_gp ~gp_y:0 () in
+  Design.make ~name:"edge" ~floorplan:fp ~cell_types:types
+    ~cells:[| fenced; target |] ~fences:[| fence |] ()
+
 let test_brute_force_matches_bnb () =
   let checked = ref 0 in
+  let check_worst_windows what ctx d =
+    List.iter
+      (fun (w : Windows.worst) ->
+         let window = w.Windows.w_window in
+         let cells = cells_in_window d ~window ~max_cells:3 in
+         if cells <> [] then begin
+           let t = Solver.build ctx ~window ~cells in
+           if search_space_size t <= 200_000.0 then begin
+             ignore (check_bnb_vs_brute what t);
+             incr checked
+           end
+         end)
+      (Windows.worst_cells ~k:4 ~halfwidth:5 ~halfheight:1 d)
+  in
   List.iter
     (fun seed ->
        let spec =
@@ -101,38 +148,45 @@ let test_brute_force_matches_bnb () =
        in
        let d = Mcl_gen.Generator.generate spec in
        ignore (Mcl.Pipeline.run Mcl.Config.default d);
-       let ctx = make_ctx Mcl.Config.default d in
-       List.iter
-         (fun (w : Windows.worst) ->
-            let window = w.Windows.w_window in
-            let cells = cells_in_window d ~window ~max_cells:3 in
-            if cells <> [] then begin
-              let t = Solver.build ctx ~window ~cells in
-              if search_space_size t <= 200_000.0 then begin
-                let res = Solver.solve ~max_nodes:5_000_000 t in
-                Alcotest.(check bool)
-                  (Printf.sprintf "seed %d proven" seed)
-                  true
-                  (res.Solver.verdict = Solver.Proven);
-                let brute = brute_force t in
-                if brute = infinity then
-                  Alcotest.(check (list (triple int int int)))
-                    "no feasible assignment: no moves" []
-                    (List.map
-                       (fun (m : Solver.move) ->
-                          (m.Solver.mv_cell, m.Solver.mv_x, m.Solver.mv_y))
-                       res.Solver.moves)
-                else
-                  Alcotest.(check int64)
-                    (Printf.sprintf "seed %d: brute == B&B bit-for-bit" seed)
-                    (Int64.bits_of_float brute)
-                    (Int64.bits_of_float res.Solver.best_cost);
-                incr checked
-              end
-            end)
-         (Windows.worst_cells ~k:4 ~halfwidth:5 ~halfheight:1 d))
+       check_worst_windows (Printf.sprintf "seed %d" seed)
+         (make_ctx Mcl.Config.default d) d)
     [ 1; 2; 3; 5; 8 ];
-  Alcotest.(check bool) "cross-checked at least one window" true (!checked > 0)
+  (* a Table-1 design tiled 4x: windows see a small slice of long rows *)
+  (match Mcl_gen.Suites.iccad2017 ~scale:0.1 ~replicate:4 () with
+   | spec :: _ ->
+     let d = Mcl_gen.Generator.generate spec in
+     ignore (Mcl.Pipeline.run Mcl.Config.default d);
+     check_worst_windows "tiled 4x" (make_ctx Mcl.Config.default d) d
+   | [] -> Alcotest.fail "empty Table-1 roster");
+  Alcotest.(check bool) "cross-checked at least one window" true (!checked > 0);
+  let cfg =
+    { Mcl.Config.default with
+      Mcl.Config.consider_routability = true;
+      consider_fences = true }
+  in
+  List.iter
+    (fun (what, d, window, expect_x) ->
+       let placement = Mcl.Placement.create d in
+       Mcl.Placement.add placement 0;
+       let ctx =
+         Mcl.Insertion.make_ctx cfg d ~placement
+           ~segments:(Mcl.Segment.build ~respect_fences:true d)
+           ~routability:(Some (Mcl.Routability.create d))
+       in
+       let moves = check_bnb_vs_brute what (Solver.build ctx ~window ~cells:[ 1 ]) in
+       Alcotest.(check (list int)) (what ^ ": spacing kept") [ expect_x ]
+         (List.map (fun (m : Solver.move) -> m.Solver.mv_x) moves))
+    [ (* window ends at the fence; the fenced cell starts one site
+         past the window edge *)
+      ("right edge",
+       edge_design ~fence_lo:20 ~fence_hi:40 ~fenced_x:21 ~target_gp:18,
+       Rect.make ~xl:0 ~yl:0 ~xh:20 ~yh:1, 16);
+      (* window starts at the fence end; the fenced cell ends one site
+         before the window edge, so it starts reach + clip_pad - 1
+         sites left of it *)
+      ("left edge",
+       edge_design ~fence_lo:0 ~fence_hi:20 ~fenced_x:17 ~target_gp:20,
+       Rect.make ~xl:20 ~yl:0 ~xh:40 ~yh:1, 22) ]
 
 (* ---------------------------------------------------------------- *)
 (* Insertion.best vs the certified window optimum                     *)
@@ -262,13 +316,13 @@ let test_refine_monotone_and_noop () =
   let d, gp_hpwl = refined_design () in
   let snap = Design.snapshot d in
   (* k=0: score measured, design untouched *)
-  let s0 = Refine.run ~k:0 ~gp_hpwl Mcl.Config.default d in
+  let s0 = Refine.run ~k:0 ~gp_hpwl (make_ctx Mcl.Config.default d) in
   Alcotest.(check bool) "k=0 leaves the placement bit-identical" true
     (Design.snapshot d = snap);
   Alcotest.(check (float 0.0)) "k=0 score unchanged" s0.Refine.score_before
     s0.Refine.score_after;
   (* k>0: monotone score, legality preserved, accepted windows improve *)
-  let s = Refine.run ~k:6 ~gp_hpwl Mcl.Config.default d in
+  let s = Refine.run ~k:6 ~gp_hpwl (make_ctx Mcl.Config.default d) in
   Alcotest.(check bool) "refine examined windows" true (s.Refine.windows > 0);
   Alcotest.(check bool) "score never worsens" true
     (s.Refine.score_after <= s.Refine.score_before +. 1e-9);
@@ -282,7 +336,9 @@ let test_refine_monotone_and_noop () =
     s.Refine.outcomes;
   (* determinism: an identical design refines to the identical result *)
   let d2, gp_hpwl2 = refined_design () in
-  let s2 = Refine.run ~k:6 ~gp_hpwl:gp_hpwl2 Mcl.Config.default d2 in
+  let s2 =
+    Refine.run ~k:6 ~gp_hpwl:gp_hpwl2 (make_ctx Mcl.Config.default d2)
+  in
   Alcotest.(check bool) "refinement is deterministic" true
     (Design.snapshot d = Design.snapshot d2
      && s.Refine.score_after = s2.Refine.score_after

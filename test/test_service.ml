@@ -432,7 +432,7 @@ let test_cache_entries_sorted () =
   let entry key =
     { Mcl_service.Cache.key; design = design (); gp_hpwl = 0; source = "test";
       load_wire = ""; loaded_at = 0.0; legalized = false; eco_count = 0;
-      congest = None; refine = None; dirty = false; pinned = false;
+      congest = None; ctx = None; refine = None; dirty = false; pinned = false;
       last_used = 0; dedup = [] }
   in
   let keys cache =
@@ -510,7 +510,7 @@ let test_cache_lru_policy () =
   let entry key =
     { Mcl_service.Cache.key; design = design (); gp_hpwl = 0; source = "test";
       load_wire = ""; loaded_at = 0.0; legalized = false; eco_count = 0;
-      congest = None; refine = None; dirty = false; pinned = false;
+      congest = None; ctx = None; refine = None; dirty = false; pinned = false;
       last_used = 0; dedup = [] }
   in
   let module C = Mcl_service.Cache in
@@ -542,6 +542,410 @@ let test_cache_lru_policy () =
   Alcotest.(check int) "one eviction" 1 (List.length evicted);
   Alcotest.(check int) "evictions counted" 3 (C.evictions c)
 
+(* ---------------------------------------------------------------- *)
+(* Golden trace                                                      *)
+(* ---------------------------------------------------------------- *)
+
+(* A seeded engine trace on two small Table-1 designs, pinned response
+   by response. Design "b" is never legalized, so its ecos all run on
+   an overlapping GP placement; design "a" is legalized mid-trace.
+   The trace covers ecos with and without [targets], coalesced eco
+   batches (some with an S302 member, which forces the merged run to
+   roll back and its members to retry one by one), [refine] and
+   queries; one eco in eight asks for the greedy first-fit. Each batch
+   is one [Engine.execute] call. *)
+let golden_designs = [ ("a", "des_perf_a_md1"); ("b", "edit_dist_a_md3") ]
+
+let golden_trace () =
+  let rng = Mcl_geom.Prng.create 16 in
+  let dims =
+    List.map
+      (fun (key, name) ->
+         match Mcl_gen.Suites.find ~scale:0.1 name with
+         | Some spec ->
+           let d = Mcl_gen.Generator.generate spec in
+           let fp = d.Mcl_netlist.Design.floorplan in
+           ( key,
+             ( Mcl_netlist.Design.num_cells d,
+               fp.Mcl_netlist.Floorplan.num_sites,
+               fp.Mcl_netlist.Floorplan.num_rows ) )
+         | None -> Alcotest.failf "unknown suite design %s" name)
+      golden_designs
+  in
+  let pick_key () = if Mcl_geom.Prng.bool rng then "a" else "b" in
+  let cell key =
+    let n, _, _ = List.assoc key dims in
+    Mcl_geom.Prng.int rng n
+  in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let eco key =
+    let _, sites, rows = List.assoc key dims in
+    let cells = List.init (Mcl_geom.Prng.int rng 4) (fun _ -> cell key) in
+    let targets =
+      if Mcl_geom.Prng.int rng 3 = 0 then
+        List.init
+          (1 + Mcl_geom.Prng.int rng 2)
+          (fun _ ->
+             Printf.sprintf "[%d,[%d,%d]]" (cell key)
+               (Mcl_geom.Prng.int rng (sites - 20))
+               (Mcl_geom.Prng.int rng (rows - 4)))
+      else []
+    in
+    let cells = if cells = [] && targets = [] then [ cell key ] else cells in
+    let greedy = Mcl_geom.Prng.int rng 8 = 0 in
+    Printf.sprintf
+      {|{"op":"eco","design":"%s","cells":[%s],"targets":[%s],"greedy":%b}|}
+      key (ints cells) (String.concat "," targets) greedy
+  in
+  let bad_eco key =
+    let n, _, _ = List.assoc key dims in
+    Printf.sprintf {|{"op":"eco","design":"%s","cells":[%d,%d]}|} key
+      (cell key) (n + 7)
+  in
+  let query key = Printf.sprintf {|{"op":"query","design":"%s"}|} key in
+  let refine key =
+    Printf.sprintf {|{"op":"refine","design":"%s","k":2,"node_budget":5000}|}
+      key
+  in
+  let random_batch () =
+    match Mcl_geom.Prng.int rng 10 with
+    | 0 | 1 | 2 | 3 -> [ eco (pick_key ()) ]
+    | 4 | 5 | 6 ->
+      let key = pick_key () in
+      let members = List.init (2 + Mcl_geom.Prng.int rng 2) (fun _ -> eco key) in
+      if Mcl_geom.Prng.bool rng then
+        let at = Mcl_geom.Prng.int rng (List.length members) in
+        List.concat
+          (List.mapi
+             (fun i m -> if i = at then [ bad_eco key; m ] else [ m ])
+             members)
+      else members
+    | 7 | 8 -> [ query (pick_key ()) ]
+    | _ -> [ eco "a"; eco "b"; query "a" ]
+  in
+  let loads =
+    List.map
+      (fun (key, name) ->
+         [ Printf.sprintf {|{"op":"load","design":"%s","suite":"%s","scale":0.1}|}
+             key name ])
+      golden_designs
+  in
+  let phase n = List.init n (fun _ -> random_batch ()) in
+  let phase1 = phase 16 in
+  let mid = [ [ query "a"; query "b" ]; [ {|{"op":"legalize","design":"a"}|} ];
+              [ refine "a" ] ] in
+  let phase2 = phase 16 in
+  loads @ phase1 @ mid @ phase2
+  @ [ [ refine "a"; refine "b" ]; [ query "a" ]; [ query "b" ] ]
+
+(* Wall-clock fields zeroed; the WAL line rides along. *)
+let golden_line (r : Protocol.response) =
+  let rec zero = function
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (fun (k, v) -> if k = "seconds" then (k, Json.Float 0.0) else (k, zero v))
+           fields)
+    | Json.List l -> Json.List (List.map zero l)
+    | v -> v
+  in
+  let r =
+    { r with
+      Protocol.result = Result.map zero r.Protocol.result;
+      metrics =
+        Option.map
+          (fun m -> { m with Protocol.queue_wait_s = 0.0; service_s = 0.0 })
+          r.Protocol.metrics }
+  in
+  Protocol.to_line r ^ "\t" ^ Option.value r.Protocol.wal ~default:""
+
+let run_golden_trace () =
+  let eng = engine () in
+  let counter = ref 0 in
+  let lines =
+    List.concat_map
+      (fun batch ->
+         let reqs =
+           Array.of_list
+             (List.map
+                (fun line ->
+                   incr counter;
+                   match
+                     Protocol.parse ~received:0.0
+                       ~default_id:(Printf.sprintf "r%d" !counter) line
+                   with
+                   | Ok r -> r
+                   | Error e -> Alcotest.failf "trace line rejected: %s" e.Protocol.message)
+                batch)
+         in
+         Array.to_list (Array.map golden_line (Engine.execute eng reqs)))
+      (golden_trace ())
+  in
+  (lines, Engine.state_fingerprint eng)
+
+(* Pinned from an engine that built a fresh insertion context for
+   every eco and rolled back from snapshots: keeping the context
+   resident and rolling back from an undo log must leave every
+   response byte, and the final state, unchanged. *)
+let golden_digests =
+  [| "31c21a1051e2fe340bbaa943553b699b";
+     "9c4895ee24546074255db76a2403e4d5";
+     "dc516f7dc348422a0a6456e408570123";
+     "ffaedcad02f65f8f4580ac670d502acb";
+     "cc8240255ac206f3a374edaddd250f57";
+     "26282325f6208b08d7eca52517182254";
+     "6b7994c4f0646a8e857a5e55c25ed451";
+     "4614bcdf020a24a61af0782cb6c30e08";
+     "15e5c1a4a93557b985ad7df84d54e9fd";
+     "44caa26f14d33c00e3c42db999e1f41b";
+     "7f8a818d8ec7e5ea5bd894504bab6073";
+     "54046c177eefd4358c21aeda52d9df20";
+     "b4c254891b9bebb62d887b256754a3e0";
+     "ab023aaffdc05153ca9d5f38651e5d62";
+     "fab550607523b6ed411e7beb776ae99f";
+     "b38d8f1f7f0fc8a25a69d36de16e4ec5";
+     "485cd2e4247db566fd3b90bfa0198f8a";
+     "1d4cc84189163dfa8aaf5d014ebd9816";
+     "d0ea7ebd73a75b9d30660d6c5adc69a7";
+     "9a902f5d1c8fcb81395fa0f64ea4262c";
+     "845281e3967b4816448ada3e72566ddf";
+     "17a96b0b0f512679eb59d92490e16965";
+     "48311303e65a41388f3dda5f46512bc0";
+     "e5ab5b02c4c029188c739143cd2f8ffe";
+     "54a4d89cabf507405909ef0627fd4e99";
+     "c537c34ff883a6a85918c48fbdaadb8a";
+     "7d5c4b9dab7a0789f925837023235189";
+     "bc68bcfa364c0700fbbf9b84fd4339f2";
+     "a8800a16db9d559c37f8001dd73ddba9";
+     "52ce7621b4e215f43b3cacf08be37489";
+     "5882bbbb6e4b4802602bfa488c492f3e";
+     "bb372926637c3e8a024a4c4b66945154";
+     "aab9a84d556b1949915590a701516d9e";
+     "0d303bb37b45dad08c0a0eb14b6d8f26";
+     "f4c8d3a3d0bfa89bd7ae02e9c4c3157d";
+     "7cf450ac39c38178d49cdfed77af923e";
+     "09cbca0d6863db1fd1c7bb193d767f20";
+     "3c254a21fd2a573b2fb89d660497f986";
+     "c1504aaa3b6eb227ac42e5dcd8e070ab";
+     "cd9a7883fa94b4f9e2de4f8dc56f50ad";
+     "bc49ec4fbb746f3e25379803a7dd4ca8";
+     "fc0d1612dc961c201b44c60b5268a746";
+     "f981365638c11ae6be8550bdaa7c89cc";
+     "65e90708b800e95e4626d74bb6f1fe47";
+     "0063c0d06a9bbd38812a9f18280a2141";
+     "74b4477729094abebac95308706d5893";
+     "900abdde08a6c9ea17a34cb8add5b8a2";
+     "c24e7c6791009769b27e163b95fd90d8";
+     "e540a3ff10df45877d4e857d86d05012";
+     "4e05430964f26be82cc2bf089dab790f";
+     "987dead6de2b9e3be1bc7d0d4bbd934a";
+     "0419c4f2fa31f7c3d97c40c53f0eba9a";
+     "0676fd16a19df2c745eb1001d43d171f";
+     "847c8390467190bc280d7e334564d0a4";
+     "05986b82e3db5b54bbfb89822b86c103";
+     "b6fc80e18bb2614b9e13d48b48e47f77";
+     "186773c82c35e377a4a1168d1c3b5f81";
+     "8fa06363b0ed13d55cf02001f6c5da70";
+     "b8dcc8714c58adf92dca32b691ae5f70";
+     "3ddcf2c862c837488c2f892093e58757";
+     "860e1d1cfd035482e4d7fd4a8dbf3b2d";
+     "0c16a74287b389fe7d8061a31d6f88c8";
+     "dc0fe4a142141b37a2caa4257a32a736";
+     "b2b8da79250b3865b424b404be26ecbd";
+     "5faf278539a7761ded705c387066d917";
+     "44082f6aaa8f252e4274a15495d19289";
+     "43de55aa312cd414869a52dd1de53e6f";
+     "7b67ebd872592225477f8b6ad9ad67b0"; |]
+
+let golden_fingerprint = "63f7b98d29f1a90278b0098277a58117"
+
+let test_golden_trace () =
+  let lines, fingerprint = run_golden_trace () in
+  let digests = Array.of_list (List.map (fun l -> Digest.to_hex (Digest.string l)) lines) in
+  Alcotest.(check int) "response count" (Array.length golden_digests)
+    (Array.length digests);
+  Array.iteri
+    (fun i d ->
+       if d <> golden_digests.(i) then
+         Alcotest.failf "response %d differs: %s" i (List.nth lines i))
+    digests;
+  Alcotest.(check string) "final state" golden_fingerprint fingerprint
+
+(* ---------------------------------------------------------------- *)
+(* Resident insertion context                                        *)
+(* ---------------------------------------------------------------- *)
+
+module Cache = Mcl_service.Cache
+
+let entry_exn eng key =
+  match Cache.find (Engine.cache eng) key with
+  | Some e -> e
+  | None -> Alcotest.failf "design %s not loaded" key
+
+(* The resident context may be absent, but when present its rows are
+   exactly what a fresh build over the same positions gives, and the
+   tracked congestion map equals a rebuild. *)
+let resident_state_ok (e : Cache.entry) =
+  let d = e.Cache.design in
+  let ctx_ok =
+    match e.Cache.ctx with
+    | None -> true
+    | Some ctx ->
+      let fresh = Mcl.Placement.of_design d in
+      let row p r =
+        let arr, len = Mcl.Placement.row_cells p r in
+        Array.sub arr 0 len
+      in
+      let ok = ref true in
+      for r = 0 to d.Mcl_netlist.Design.floorplan.Mcl_netlist.Floorplan.num_rows - 1 do
+        if row ctx.Mcl.Insertion.placement r <> row fresh r then ok := false
+      done;
+      !ok
+  in
+  let map_ok =
+    match e.Cache.congest with
+    | None -> true
+    | Some m ->
+      Mcl_congest.Congestion.equal m
+        (Mcl_congest.Congestion.create
+           ~bin_sites:(Mcl_congest.Congestion.grid m).Mcl_congest.Grid.bin_sites d)
+  in
+  ctx_ok && map_ok
+
+let execute_lines eng lines =
+  Engine.execute eng
+    (Array.of_list
+       (List.mapi
+          (fun i line ->
+             match Protocol.parse ~received:0.0 ~default_id:(Printf.sprintf "q%d" i) line with
+             | Ok r -> r
+             | Error e -> Alcotest.failf "rejected %s: %s" line e.Protocol.message)
+          lines))
+
+(* Random traces over one design: ecos (with and without targets,
+   greedy or not, sometimes coalesced with an unknown-cell member),
+   refines, legalizes and queries, starting from the GP placement.
+   Two-site congestion bins make the tracked map notice a cell synced
+   from the wrong old position. *)
+let prop_resident_invariant =
+  QCheck.Test.make ~name:"resident context == fresh build after every op"
+    ~count:12 QCheck.(int_range 1 100000)
+    (fun seed ->
+       let rng = Mcl_geom.Prng.create seed in
+       let eng =
+         Engine.create
+           ~config:{ Mcl.Config.default with Mcl.Config.congestion_bin_sites = 2 }
+           ()
+       in
+       ignore
+         (execute_lines eng
+            [ Printf.sprintf {|{"op":"load","design":"d","cells":260,"seed":%d}|}
+                (1 + (seed mod 50)) ]);
+       let n = 260 in
+       let eco () =
+         let cells =
+           List.init (1 + Mcl_geom.Prng.int rng 3) (fun _ -> Mcl_geom.Prng.int rng n)
+         in
+         let targets =
+           if Mcl_geom.Prng.int rng 3 = 0 then
+             Printf.sprintf "[[%d,[%d,%d]]]" (Mcl_geom.Prng.int rng n)
+               (Mcl_geom.Prng.int rng 40) (Mcl_geom.Prng.int rng 10)
+           else "[]"
+         in
+         Printf.sprintf
+           {|{"op":"eco","design":"d","cells":[%s],"targets":%s,"greedy":%b}|}
+           (String.concat "," (List.map string_of_int cells))
+           targets
+           (Mcl_geom.Prng.int rng 6 = 0)
+       in
+       (* several cells sent to one spot: later insertions shift the
+          earlier ones, so one run moves a cell more than once *)
+       let crowd () =
+         let x = Mcl_geom.Prng.int rng 40 and y = Mcl_geom.Prng.int rng 10 in
+         Printf.sprintf {|{"op":"eco","design":"d","targets":[%s]}|}
+           (String.concat ","
+              (List.init (3 + Mcl_geom.Prng.int rng 4) (fun _ ->
+                   Printf.sprintf "[%d,[%d,%d]]" (Mcl_geom.Prng.int rng n) x y)))
+       in
+       let ok = ref true in
+       (* the first query starts tracking the congestion map *)
+       ignore (execute_lines eng [ {|{"op":"query","design":"d"}|} ]);
+       for _ = 1 to 14 do
+         let batch =
+           match Mcl_geom.Prng.int rng 10 with
+           | 0 -> [ {|{"op":"legalize","design":"d"}|} ]
+           | 1 -> [ {|{"op":"refine","design":"d","k":2,"node_budget":3000}|} ]
+           | 2 -> [ crowd () ]
+           | 3 -> [ eco (); {|{"op":"eco","design":"d","cells":[99999]}|}; eco () ]
+           | 4 | 5 -> [ eco (); eco () ]
+           | _ -> [ eco () ]
+         in
+         ignore (execute_lines eng batch);
+         if not (resident_state_ok (entry_exn eng "d")) then ok := false
+       done;
+       !ok)
+
+(* A coalesced eco whose budget expires after cells were re-inserted:
+   the undo log must restore the pre-request state exactly, and the
+   engine must drop the half-updated context so the next eco answers
+   as a fresh engine does. The budget clock is the engine's fault
+   clock with only clock skew on, a deterministic fake clock: it jumps
+   1-6 s every 2-5 reads. With this seed the 10 s deadline survives
+   the run-boundary check and trips at one of the reads the insertion
+   loop makes every 32 windows; the test checks that the run's undo
+   log holds moves. *)
+let test_mid_run_rollback () =
+  let prefix =
+    [ {|{"op":"load","design":"d","cells":1200,"seed":5}|};
+      {|{"op":"legalize","design":"d"}|};
+      {|{"op":"eco","design":"d","cells":[7,8]}|} ]
+  in
+  let next_eco = {|{"op":"eco","design":"d","cells":[3,40],"targets":[[41,[30,6]]]}|} in
+  let faults = Mcl_resilience.Fault.create ~seed:3 ~kinds:[ Mcl_resilience.Fault.Clock_skew ] in
+  let eng = Engine.create ~threads:1 ~faults ~config:Mcl.Config.default () in
+  List.iter (fun l -> check_ok l (handle eng l)) prefix;
+  let entry = entry_exn eng "d" in
+  let ctx =
+    match entry.Cache.ctx with
+    | Some c -> c
+    | None -> Alcotest.fail "no resident context after an eco"
+  in
+  let log = Option.get ctx.Mcl.Insertion.log in
+  let log_before = Array.sub log.Mcl.Arena.Ibuf.a 0 log.Mcl.Arena.Ibuf.len in
+  let fingerprint = Engine.state_fingerprint eng in
+  let member lo =
+    Printf.sprintf {|{"op":"eco","design":"d","cells":[%s],"deadline_ms":10000}|}
+      (String.concat "," (List.init 300 (fun i -> string_of_int (lo + (2 * i)))))
+  in
+  let received = Mcl_resilience.Fault.now (Some faults) in
+  let reqs =
+    Array.of_list
+      (List.mapi
+         (fun i line ->
+            match Protocol.parse ~received ~default_id:(Printf.sprintf "m%d" i) line with
+            | Ok r -> r
+            | Error e -> Alcotest.failf "rejected: %s" e.Protocol.message)
+         [ member 100; member 101 ])
+  in
+  Array.iter
+    (fun r ->
+       let j = parse_exn (Protocol.to_line r) in
+       Alcotest.(check string) "member expired" "P430-deadline-exceeded" (error_code j))
+    (Engine.execute eng reqs);
+  let log_after = Array.sub log.Mcl.Arena.Ibuf.a 0 log.Mcl.Arena.Ibuf.len in
+  Alcotest.(check bool) "the run moved cells before expiring" true
+    (log_after <> [||] && log_after <> log_before);
+  Alcotest.(check bool) "context dropped" true (entry.Cache.ctx = None);
+  Alcotest.(check string) "state restored" fingerprint (Engine.state_fingerprint eng);
+  let answer eng =
+    golden_line (execute_lines eng [ next_eco ]).(0)
+  in
+  let fresh = engine () in
+  List.iter (fun l -> check_ok l (handle fresh l)) prefix;
+  Alcotest.(check string) "next eco as on a fresh engine" (answer fresh) (answer eng);
+  Alcotest.(check string) "same state as the fresh engine"
+    (Engine.state_fingerprint fresh) (Engine.state_fingerprint eng)
+
 let () =
   Alcotest.run "service"
     [ ("json", [ Alcotest.test_case "roundtrip + malformed" `Quick test_json_roundtrip ]);
@@ -570,4 +974,11 @@ let () =
            test_histogram_merge_json ]);
       ("cache-lru",
        [ Alcotest.test_case "LRU policy, dirty/pinned protection" `Quick
-           test_cache_lru_policy ]) ]
+           test_cache_lru_policy ]);
+      ("golden",
+       [ Alcotest.test_case "seeded engine trace, byte-pinned" `Quick
+           test_golden_trace ]);
+      ("resident",
+       [ QCheck_alcotest.to_alcotest prop_resident_invariant;
+         Alcotest.test_case "mid-run rollback replays the log" `Quick
+           test_mid_run_rollback ]) ]
