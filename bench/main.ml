@@ -2,9 +2,8 @@
    evaluation section (see DESIGN.md §3 and EXPERIMENTS.md).
 
    Usage:  dune exec bench/main.exe -- [section] [scale]
-   Sections: table1 table2 table3 fig3 fig4 fig5 fig6 threads ablation
-             service service_load congest resilience shard exact micro all
-             (default: all, scale 1.0). *)
+   Sections: table1 table2 table3 fig3 fig4 fig5 fig6 ablation congest
+             shard exact all (default: all, scale 1.0). *)
 
 open Mcl_netlist
 
@@ -19,12 +18,6 @@ let geomean xs =
   | _ ->
     exp (List.fold_left (fun a x -> a +. log (Float.max 1e-9 x)) 0.0 xs
          /. float_of_int (List.length xs))
-
-let heights_summary d =
-  let h_max = Design.max_height d in
-  List.init h_max (fun i -> Design.cells_of_height d (i + 1))
-  |> List.map string_of_int
-  |> String.concat "/"
 
 (* ---------------------------------------------------------------- *)
 (* Table 1: ours vs the contest-champion stand-in (greedy) on the    *)
@@ -47,9 +40,7 @@ let table1 ~scale () =
        let d_ours = Mcl_gen.Generator.generate spec in
        let d_champ = Mcl_gen.Generator.generate spec in
        let gp_hpwl = Mcl_eval.Metrics.hpwl d_ours in
-       let density =
-         Mcl.Mgl.utilization d_ours
-       in
+       let density = Mcl.Insertion.utilization d_ours in
        let _, t_champ = timed (fun () -> Mcl.Baseline_greedy.run Mcl.Config.default d_champ) in
        let s_champ = Mcl_eval.Score.evaluate ~gp_hpwl d_champ in
        let _, t_ours = timed (fun () -> Mcl.Pipeline.run Mcl.Config.default d_ours) in
@@ -121,7 +112,7 @@ let table2 ~scale () =
        Printf.printf
          "%-16s %8d %6.1f%% | %10.0f %10.0f %10.0f %10.0f | %6.2f %6.2f %6.2f %6.2f\n%!"
          spec.Mcl_gen.Spec.name (Design.num_cells d_ours)
-         (Mcl.Mgl.utilization d_ours *. 100.0) disp_mll disp_ab disp_lcp
+         (Mcl.Insertion.utilization d_ours *. 100.0) disp_mll disp_ab disp_lcp
          disp_ours time_mll time_ab time_lcp time_ours;
        let ratio x = x /. Float.max 1e-9 disp_ours in
        r12 := ratio disp_mll :: !r12;
@@ -339,36 +330,6 @@ let fig6 ~scale () =
   Printf.printf "wrote fig6_before.svg / fig6_after.svg (red = most-displaced type)\n\n"
 
 (* ---------------------------------------------------------------- *)
-(* Section 3.5: deterministic multi-threading.                        *)
-(* ---------------------------------------------------------------- *)
-
-let threads ~scale () =
-  Printf.printf "== Sec. 3.5: scheduler determinism and domains ==\n\n";
-  let spec =
-    match Mcl_gen.Suites.find ~scale "edit_dist_a_md2" with
-    | Some s -> s
-    | None -> assert false
-  in
-  let reference = ref None in
-  List.iter
-    (fun n ->
-       let d = Mcl_gen.Generator.generate spec in
-       let cfg = { Mcl.Config.default with Mcl.Config.threads = n } in
-       let _, t = timed (fun () -> Mcl.Scheduler.run cfg d) in
-       let positions = Design.snapshot d in
-       let same =
-         match !reference with
-         | None ->
-           reference := Some positions;
-           true
-         | Some p -> p = positions
-       in
-       Printf.printf "threads=%d: %.2fs, identical to 1-thread result: %b\n%!" n t
-         same)
-    [ 1; 2; 4 ];
-  print_newline ()
-
-(* ---------------------------------------------------------------- *)
 (* Ablations: design choices called out in DESIGN.md.                 *)
 (* ---------------------------------------------------------------- *)
 
@@ -428,611 +389,6 @@ let ablation ~scale () =
        show ("solver: " ^ name) s t)
     [ Mcl_flow.Mcf.Network_simplex_first ];
   print_newline ()
-
-(* ---------------------------------------------------------------- *)
-(* Service: resident-engine ECO-trace replay (see EXPERIMENTS.md).    *)
-(* A synthetic ECO loop against two resident designs: each round      *)
-(* perturbs a handful of cells per design and asks the service to     *)
-(* re-legalize them. "batched" hands each round to the engine as one  *)
-(* batch so adjacent ecos coalesce into one relegalize call;          *)
-(* "sequential" replays the same trace one request per batch. Both    *)
-(* run threads=1: at bench-scale designs a ~10ms relegalize loses     *)
-(* more to cross-domain GC synchronisation than it gains from         *)
-(* parallel dispatch, so the honest speedup to measure is coalescing. *)
-(* Emits BENCH_service.json next to the human table.                  *)
-(* ---------------------------------------------------------------- *)
-
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then nan
-  else sorted.(min (n - 1) (int_of_float ((q *. float_of_int (n - 1)) +. 0.5)))
-
-let service ~scale () =
-  let module P = Mcl_service.Protocol in
-  let module Json = Mcl_service.Json in
-  Printf.printf
-    "== Service: batched ECO-trace replay ==\n\
-     (two resident designs; each round re-legalizes %d cells per design; \n\
-     batched = one batch per round with adjacent ecos coalesced into one \n\
-     relegalize call; sequential = same trace one request at a time)\n\n"
-    8;
-  let num_cells = max 200 (int_of_float (2000.0 *. scale)) in
-  let specs =
-    [ ("left",
-       { Mcl_gen.Spec.default with
-         Mcl_gen.Spec.name = "svc_left"; num_cells; seed = 31 });
-      ("right",
-       { Mcl_gen.Spec.default with
-         Mcl_gen.Spec.name = "svc_right"; num_cells; seed = 32;
-         height_mix = [ (1, 0.7); (2, 0.2); (3, 0.1) ] }) ]
-  in
-  (* same spec+seed => same design: a local copy gives the trace
-     generator die dimensions without reaching into the engine *)
-  let shapes =
-    List.map
-      (fun (key, spec) ->
-         let d = Mcl_gen.Generator.generate spec in
-         let fp = d.Design.floorplan in
-         (key, (Design.num_cells d, fp.Floorplan.num_sites, fp.Floorplan.num_rows)))
-      specs
-  in
-  let rounds = 25 and ecos_per_design = 8 in
-  let run_mode ~label ~batched =
-    let engine =
-      Mcl_service.Engine.create ~threads:1 ~config:Mcl.Config.default ()
-    in
-    let counter = ref 0 in
-    let mk op =
-      incr counter;
-      { P.id = Printf.sprintf "%s-%d" label !counter; op;
-        received = Unix.gettimeofday (); deadline_ms = None; fallback = None;
-        req_id = None; replay_ids = [] }
-    in
-    let execute reqs =
-      if batched then Mcl_service.Engine.execute engine (Array.of_list reqs)
-      else
-        Array.concat
-          (List.map (fun r -> Mcl_service.Engine.execute engine [| r |]) reqs)
-    in
-    let expect_ok what resps =
-      Array.iter
-        (fun r ->
-           match r.P.result with
-           | Ok _ -> ()
-           | Error e ->
-             failwith (Printf.sprintf "service bench %s: %s" what e.P.message))
-        resps
-    in
-    (* resident state: load + full legalize once, outside the trace *)
-    List.iter
-      (fun (key, spec) ->
-         expect_ok "load"
-           (execute
-              [ mk (P.Load
-                      { key;
-                        source =
-                          P.Generated
-                            { cells = Some spec.Mcl_gen.Spec.num_cells;
-                              seed = Some spec.Mcl_gen.Spec.seed } }) ]);
-         expect_ok "legalize"
-           (execute [ mk (P.Legalize { key; greedy = false }) ]))
-      specs;
-    (* the measured trace: every mode replays the same perturbations *)
-    let prng = Mcl_geom.Prng.create 2024 in
-    let latencies = ref [] and disp = ref 0.0 in
-    let t0 = Unix.gettimeofday () in
-    for _round = 1 to rounds do
-      let reqs =
-        List.concat_map
-          (fun (key, (n, sites, rows)) ->
-             List.init ecos_per_design (fun _ ->
-                 let id = Mcl_geom.Prng.int prng n in
-                 (* half the ECOs also relocate the cell's anchor *)
-                 let targets =
-                   if Mcl_geom.Prng.bool prng then
-                     [ (id,
-                        (Mcl_geom.Prng.int prng (max 1 (sites - 10)),
-                         Mcl_geom.Prng.int prng (max 1 (rows - 4)))) ]
-                   else []
-                 in
-                 mk (P.Eco { key; cells = [ id ]; targets; greedy = false })))
-          shapes
-      in
-      let resps = execute reqs in
-      Array.iter
-        (fun r ->
-           (match r.P.result with
-            | Ok _ -> ()
-            | Error e ->
-              failwith (Printf.sprintf "service bench eco: %s" e.P.message));
-           match r.P.metrics with
-           | Some m ->
-             latencies := (m.P.queue_wait_s +. m.P.service_s) :: !latencies;
-             disp := !disp +. m.P.disp_delta_rows
-           | None -> ())
-        resps
-    done;
-    let wall = Unix.gettimeofday () -. t0 in
-    (* end-state sanity: both designs must still be legal *)
-    List.iter
-      (fun (key, _) ->
-         let resps = execute [ mk (P.Query { key }) ] in
-         expect_ok "query" resps;
-         match resps.(0).P.result with
-         | Ok j when Json.get_bool "legal" j = Some true -> ()
-         | Ok _ -> failwith ("service bench: design illegal after trace: " ^ key)
-         | Error _ -> assert false)
-      specs;
-    let lats = Array.of_list !latencies in
-    Array.sort compare lats;
-    let n = Array.length lats in
-    let throughput = float_of_int n /. wall in
-    let p50 = percentile lats 0.50 and p95 = percentile lats 0.95 in
-    Printf.printf
-      "%-10s %5d eco reqs in %6.2fs | %8.1f req/s | p50 %6.2fms p95 %6.2fms | disp %8.1f rows\n%!"
-      label n wall throughput (p50 *. 1000.0) (p95 *. 1000.0) !disp;
-    (label, n, wall, throughput, p50, p95, !disp)
-  in
-  (* explicit lets: list literals evaluate right-to-left *)
-  let batched = run_mode ~label:"batched" ~batched:true in
-  let sequential = run_mode ~label:"sequential" ~batched:false in
-  let results = [ batched; sequential ] in
-  let mode_json (label, n, wall, throughput, p50, p95, disp) =
-    ( label,
-      Json.Obj
-        [ ("requests", Json.Int n);
-          ("wall_s", Json.Float wall);
-          ("throughput_rps", Json.Float throughput);
-          ("p50_ms", Json.Float (p50 *. 1000.0));
-          ("p95_ms", Json.Float (p95 *. 1000.0));
-          ("total_disp_rows", Json.Float disp) ] )
-  in
-  let json =
-    Json.Obj
-      [ ("bench", Json.String "service_eco_trace");
-        ("scale", Json.Float scale);
-        ("designs", Json.Int (List.length specs));
-        ("cells_per_design", Json.Int num_cells);
-        ("rounds", Json.Int rounds);
-        ("ecos_per_design_per_round", Json.Int ecos_per_design);
-        ("modes", Json.Obj (List.map mode_json results)) ]
-  in
-  let oc = open_out "BENCH_service.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote BENCH_service.json\n\n"
-
-(* ---------------------------------------------------------------- *)
-(* Service load: the multi-client event loop under production-shaped  *)
-(* traffic (lib/netserve). Four parts:                                *)
-(*   1. WAL group-commit sweep — durable mutations/s at group sizes   *)
-(*      1/8/64/256; size 1 is the fsync-per-request baseline the      *)
-(*      event loop replaces.                                          *)
-(*   2. closed-loop saturation sweep — N socketpair clients, each on  *)
-(*      its own design, one request in flight per client; p50/p95/p99 *)
-(*      from the shared log-bucketed histogram.                       *)
-(*   3. open-loop arrivals — requests paced at a fixed rate           *)
-(*      regardless of completions, latency measured from the          *)
-(*      scheduled arrival (no coordinated omission).                  *)
-(*   4. snapshot-truncated recovery — replay after a long trace must  *)
-(*      be O(delta since snapshot) and fingerprint-exact.             *)
-(* Emits BENCH_service_load.json.                                     *)
-(* ---------------------------------------------------------------- *)
-
-let service_load ~scale () =
-  let module Json = Mcl_service.Json in
-  let module H = Mcl_service.Histogram in
-  let module Wal = Mcl_resilience.Wal in
-  let module N = Mcl_netserve.Netserve in
-  Printf.printf "== Service load: event loop, group commit, recovery ==\n\n";
-  let tmp suffix = Filename.temp_file "mcl_service_load" suffix in
-  (* -- IO helpers for the bench clients (blocking fds) ------------- *)
-  let write_line fd line =
-    let s = line ^ "\n" in
-    let b = Bytes.unsafe_of_string s in
-    let n = String.length s in
-    let off = ref 0 in
-    while !off < n do
-      match Unix.write fd b !off (n - !off) with
-      | w -> off := !off + w
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        ignore (Unix.select [] [ fd ] [] 1.0)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    done
-  in
-  let read_line_fd fd pend =
-    let chunk = Bytes.create 65536 in
-    let rec go () =
-      match String.index_opt (Buffer.contents pend) '\n' with
-      | Some i ->
-        let all = Buffer.contents pend in
-        let line = String.sub all 0 i in
-        Buffer.clear pend;
-        Buffer.add_substring pend all (i + 1) (String.length all - i - 1);
-        line
-      | None ->
-        (match Unix.read fd chunk 0 (Bytes.length chunk) with
-         | 0 -> failwith "service_load: unexpected EOF from server"
-         | n ->
-           Buffer.add_subbytes pend chunk 0 n;
-           go ()
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
-    in
-    go ()
-  in
-  let expect_status line what =
-    match Json.parse line with
-    | Ok j when Json.get_string "status" j = Some "ok" -> ()
-    | Ok j ->
-      failwith
-        (Printf.sprintf "service_load %s: %s" what
-           (Option.value ~default:line (Json.get_string "code" j)))
-    | Error e -> failwith (Printf.sprintf "service_load %s: bad json: %s" what e)
-  in
-  (* ---- part 1: WAL group-commit sweep ---------------------------- *)
-  Printf.printf
-    "-- group commit: durable mutations/s vs fsync group size --\n";
-  let payload = {|{"id":"w","op":"eco","design":"bench","cells":[17]}|} in
-  let group_sizes = [ 1; 8; 64; 256 ] in
-  let group_results =
-    List.map
-      (fun size ->
-         (* size 1 pays one fsync per mutation: cap its count so the
-            baseline doesn't dominate the bench wall time *)
-         let muts =
-           if size = 1 then max 100 (int_of_float (400.0 *. scale))
-           else
-             max size
-               (int_of_float (float_of_int (size * 400) *. scale))
-         in
-         let muts = muts - (muts mod size) in
-         let path = tmp ".wal" in
-         let w = Wal.open_ ~path () in
-         let group = List.init size (fun _ -> payload) in
-         let t0 = Unix.gettimeofday () in
-         for _ = 1 to muts / size do
-           ignore (Wal.append_all w group)
-         done;
-         let wall = Unix.gettimeofday () -. t0 in
-         Wal.close w;
-         Sys.remove path;
-         let per_s = float_of_int muts /. wall in
-         Printf.printf
-           "  group %4d : %7d durable mutations in %6.3fs | %10.0f muts/s | %6d fsyncs\n%!"
-           size muts wall per_s (muts / size);
-         (size, muts, wall, per_s))
-      group_sizes
-  in
-  let rate_of_size s =
-    List.assoc s (List.map (fun (g, _, _, r) -> (g, r)) group_results)
-  in
-  let baseline_per_s = rate_of_size 1 in
-  let best_group_per_s =
-    List.fold_left (fun acc (_, _, _, r) -> Float.max acc r) 0.0 group_results
-  in
-  Printf.printf "  speedup over fsync-per-request baseline: %.1fx\n\n%!"
-    (best_group_per_s /. baseline_per_s);
-  (* ---- part 1b: CRC framing overhead at the best group size ------- *)
-  Printf.printf "-- checksum overhead: CRC-32 framing on vs off (group 256) --\n";
-  let crc_sweep checksum =
-    let muts =
-      let m = max 256 (int_of_float (256.0 *. 400.0 *. scale)) in
-      m - (m mod 256)
-    in
-    let path = tmp ".wal" in
-    let w = Wal.open_ ~checksum ~path () in
-    let group = List.init 256 (fun _ -> payload) in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to muts / 256 do
-      ignore (Wal.append_all w group)
-    done;
-    let wall = Unix.gettimeofday () -. t0 in
-    Wal.close w;
-    Sys.remove path;
-    let per_s = float_of_int muts /. wall in
-    Printf.printf "  crc %-3s : %7d durable mutations in %6.3fs | %10.0f muts/s\n%!"
-      (if checksum then "on" else "off") muts wall per_s;
-    per_s
-  in
-  let crc_on_per_s = crc_sweep true in
-  let crc_off_per_s = crc_sweep false in
-  let crc_overhead_pct = 100.0 *. (1.0 -. (crc_on_per_s /. crc_off_per_s)) in
-  Printf.printf "  overhead: %.1f%% of un-checksummed throughput\n\n%!"
-    crc_overhead_pct;
-  (* ---- shared harness: an event loop over socketpair clients ----- *)
-  let fresh_engine () =
-    Mcl_service.Engine.create ~threads:1 ~config:Mcl.Config.default ()
-  in
-  (* closed-loop client: one request in flight; every eco latency goes
-     into the client's own histogram (merged after the join) *)
-  let closed_loop_client fd ~key ~cells ~seed ~reqs hist =
-    let pend = Buffer.create 256 in
-    write_line fd
-      (Printf.sprintf
-         {|{"id":"l","op":"load","design":"%s","cells":%d,"seed":%d}|} key
-         cells seed);
-    expect_status (read_line_fd fd pend) "load";
-    write_line fd
-      (Printf.sprintf {|{"id":"g","op":"legalize","design":"%s"}|} key);
-    expect_status (read_line_fd fd pend) "legalize";
-    for j = 0 to reqs - 1 do
-      let cell = (j * 7 + seed) mod cells in
-      let t0 = Unix.gettimeofday () in
-      write_line fd
-        (Printf.sprintf
-           {|{"id":"e%d","op":"eco","design":"%s","cells":[%d]}|} j key cell);
-      expect_status (read_line_fd fd pend) "eco";
-      H.add hist (Unix.gettimeofday () -. t0)
-    done;
-    Unix.shutdown fd Unix.SHUTDOWN_SEND
-  in
-  (* ---- part 2: closed-loop saturation sweep ---------------------- *)
-  Printf.printf "-- saturation: closed-loop clients over one event loop --\n";
-  let cells = max 60 (int_of_float (120.0 *. scale)) in
-  let reqs_per_client = max 40 (int_of_float (250.0 *. scale)) in
-  let sweep_counts = [ 1; 2; 4; 8 ] in
-  let saturation =
-    List.map
-      (fun nclients ->
-         let engine = fresh_engine () in
-         let wal_path = tmp ".wal" in
-         let wal = Wal.open_ ~path:wal_path () in
-         let t =
-           N.create engine ~wal ~wal_path ~snapshot_every:1000 ~max_batch:64 ()
-         in
-         let pairs =
-           List.init nclients (fun _ ->
-               Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0)
-         in
-         List.iter (fun (server_end, _) -> ignore (N.add_conn t server_end)) pairs;
-         let t0 = Unix.gettimeofday () in
-         let clients =
-           List.mapi
-             (fun i (_, client_end) ->
-                let hist = H.create () in
-                ( hist,
-                  Domain.spawn (fun () ->
-                      closed_loop_client client_end ~key:(Printf.sprintf "sat%d" i)
-                        ~cells ~seed:(100 + i) ~reqs:reqs_per_client hist;
-                      Unix.close client_end) ))
-             pairs
-         in
-         N.run t;
-         List.iter (fun (_, d) -> Domain.join d) clients;
-         let wall = Unix.gettimeofday () -. t0 in
-         Wal.close wal;
-         Sys.remove wal_path;
-         (try Sys.remove (Mcl_service.Snapshot.path_for wal_path)
-          with Sys_error _ -> ());
-         let hist = H.create () in
-         List.iter (fun (h, _) -> H.merge_into ~into:hist h) clients;
-         let ecos = nclients * reqs_per_client in
-         let per_s = float_of_int ecos /. wall in
-         Printf.printf
-           "  %2d client(s): %6d ecos in %6.2fs | %9.1f eco/s | p50 %6.2fms p95 %6.2fms p99 %6.2fms\n%!"
-           nclients ecos wall per_s
-           (H.quantile hist 0.50 *. 1000.0)
-           (H.quantile hist 0.95 *. 1000.0)
-           (H.quantile hist 0.99 *. 1000.0);
-         (nclients, ecos, wall, per_s, hist))
-      sweep_counts
-  in
-  let peak_eco_per_s =
-    List.fold_left (fun acc (_, _, _, r, _) -> Float.max acc r) 0.0 saturation
-  in
-  print_newline ();
-  (* ---- part 3: open-loop arrivals -------------------------------- *)
-  Printf.printf
-    "-- open loop: paced arrivals, latency from scheduled arrival --\n";
-  let open_loop_rates =
-    List.filter_map
-      (fun frac ->
-         let r = frac *. peak_eco_per_s in
-         if r >= 1.0 then Some (frac, r) else None)
-      [ 0.25; 0.5; 0.8 ]
-  in
-  let open_loop =
-    List.map
-      (fun (frac, rate) ->
-         let engine = fresh_engine () in
-         let t = N.create engine ~max_batch:64 () in
-         let server_end, client_end =
-           Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0
-         in
-         ignore (N.add_conn t server_end);
-         let hist = H.create () in
-         let n =
-           min
-             (max 50 (int_of_float (rate *. 1.5)))
-             (max 200 (int_of_float (4000.0 *. scale)))
-         in
-         let client =
-           Domain.spawn (fun () ->
-               let pend = Buffer.create 256 in
-               write_line client_end
-                 (Printf.sprintf
-                    {|{"id":"l","op":"load","design":"ol","cells":%d,"seed":77}|}
-                    cells);
-               expect_status (read_line_fd client_end pend) "load";
-               write_line client_end
-                 {|{"id":"g","op":"legalize","design":"ol"}|};
-               expect_status (read_line_fd client_end pend) "legalize";
-               (* open loop: the send schedule never waits for
-                  responses; latency is measured from the scheduled
-                  arrival, so sender lag counts against the server *)
-               let scheduled = Queue.create () in
-               let received = ref 0 in
-               let drain ~block =
-                 let rec pump () =
-                   let ready =
-                     match Unix.select [ client_end ] [] []
-                             (if block then 1.0 else 0.0)
-                   with
-                     | [ _ ], _, _ -> true
-                     | _ -> false
-                     | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-                   in
-                   if ready then begin
-                     let line = read_line_fd client_end pend in
-                     expect_status line "eco";
-                     H.add hist (Unix.gettimeofday () -. Queue.take scheduled);
-                     incr received;
-                     (* consume buffered siblings without re-selecting *)
-                     while Buffer.length pend > 0
-                           && String.contains (Buffer.contents pend) '\n' do
-                       let line = read_line_fd client_end pend in
-                       expect_status line "eco";
-                       H.add hist
-                         (Unix.gettimeofday () -. Queue.take scheduled);
-                       incr received
-                     done;
-                     if not block then pump ()
-                   end
-                 in
-                 pump ()
-               in
-               let t0 = Unix.gettimeofday () in
-               for j = 0 to n - 1 do
-                 let target = t0 +. (float_of_int j /. rate) in
-                 while Unix.gettimeofday () < target do
-                   let slack = target -. Unix.gettimeofday () in
-                   if slack > 0.0 then
-                     ignore (Unix.select [] [] [] (Float.min slack 0.002))
-                 done;
-                 Queue.add target scheduled;
-                 write_line client_end
-                   (Printf.sprintf
-                      {|{"id":"o%d","op":"eco","design":"ol","cells":[%d]}|} j
-                      ((j * 11 + 3) mod cells));
-                 drain ~block:false
-               done;
-               while !received < n do
-                 drain ~block:true
-               done;
-               Unix.shutdown client_end Unix.SHUTDOWN_SEND;
-               Unix.close client_end)
-         in
-         N.run t;
-         Domain.join client;
-         Printf.printf
-           "  %4.0f%% of peak (%8.1f/s): %5d reqs | p50 %7.2fms p95 %7.2fms p99 %7.2fms\n%!"
-           (frac *. 100.0) rate n
-           (H.quantile hist 0.50 *. 1000.0)
-           (H.quantile hist 0.95 *. 1000.0)
-           (H.quantile hist 0.99 *. 1000.0);
-         (frac, rate, n, hist))
-      open_loop_rates
-  in
-  print_newline ();
-  (* ---- part 4: snapshot-truncated recovery ----------------------- *)
-  Printf.printf "-- recovery: replay is O(delta since last snapshot) --\n";
-  let wal_path = tmp ".wal" in
-  let snapshot_every = 64 in
-  let trace_ecos = max 200 (int_of_float (600.0 *. scale)) in
-  let engine = fresh_engine () in
-  let wal = Wal.open_ ~path:wal_path () in
-  let t = N.create engine ~wal ~wal_path ~snapshot_every ~max_batch:64 () in
-  let server_end, client_end = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  ignore (N.add_conn t server_end);
-  let hist = H.create () in
-  let client =
-    Domain.spawn (fun () ->
-        closed_loop_client client_end ~key:"rec" ~cells ~seed:7
-          ~reqs:trace_ecos hist;
-        Unix.close client_end)
-  in
-  N.run t;
-  Domain.join client;
-  Wal.close wal;
-  let fingerprint_before = Mcl_service.Engine.state_fingerprint engine in
-  let leftover_records = List.length (Wal.read ~path:wal_path).Wal.records in
-  let t0 = Unix.gettimeofday () in
-  let engine2 = fresh_engine () in
-  let r = Mcl_service.Server.recover engine2 ~path:wal_path in
-  let recover_wall = Unix.gettimeofday () -. t0 in
-  let fingerprint_equal =
-    Mcl_service.Engine.state_fingerprint engine2 = fingerprint_before
-  in
-  Sys.remove wal_path;
-  (try Sys.remove (Mcl_service.Snapshot.path_for wal_path)
-   with Sys_error _ -> ());
-  let total_mutations = trace_ecos + 2 in
-  Printf.printf
-    "  %d journaled mutations, snapshot at seq %d: replayed %d (%.0f%% skipped \
-     via snapshot) in %.3fs; fingerprint %s\n\n%!"
-    total_mutations r.Mcl_service.Server.snapshot_seq r.replayed
-    (100.0
-     *. float_of_int (total_mutations - r.replayed)
-     /. float_of_int total_mutations)
-    recover_wall
-    (if fingerprint_equal then "EXACT" else "MISMATCH");
-  if not fingerprint_equal then
-    failwith "service_load: recovered state fingerprint mismatch";
-  if r.replayed <> leftover_records then
-    failwith "service_load: recovery replayed a different record count";
-  (* ---- JSON ------------------------------------------------------ *)
-  let json =
-    Json.Obj
-      [ ("bench", Json.String "service_load");
-        ("scale", Json.Float scale);
-        ( "group_commit",
-          Json.Obj
-            [ ( "sizes",
-                Json.List
-                  (List.map
-                     (fun (size, muts, wall, per_s) ->
-                        Json.Obj
-                          [ ("group", Json.Int size);
-                            ("mutations", Json.Int muts);
-                            ("wall_s", Json.Float wall);
-                            ("durable_muts_per_s", Json.Float per_s);
-                            ("fsyncs", Json.Int (muts / size)) ])
-                     group_results) );
-              ("baseline_per_s", Json.Float baseline_per_s);
-              ("best_group_per_s", Json.Float best_group_per_s) ] );
-        ( "checksum_overhead",
-          Json.Obj
-            [ ("group", Json.Int 256);
-              ("crc_on_per_s", Json.Float crc_on_per_s);
-              ("crc_off_per_s", Json.Float crc_off_per_s);
-              ("overhead_pct", Json.Float crc_overhead_pct) ] );
-        ( "saturation",
-          Json.List
-            (List.map
-               (fun (nclients, ecos, wall, per_s, hist) ->
-                  Json.Obj
-                    [ ("clients", Json.Int nclients);
-                      ("ecos", Json.Int ecos);
-                      ("wall_s", Json.Float wall);
-                      ("eco_per_s", Json.Float per_s);
-                      ("latency", H.to_json hist) ])
-               saturation) );
-        ("peak_eco_per_s", Json.Float peak_eco_per_s);
-        ( "open_loop",
-          Json.List
-            (List.map
-               (fun (frac, rate, n, hist) ->
-                  Json.Obj
-                    [ ("fraction_of_peak", Json.Float frac);
-                      ("arrival_rate_per_s", Json.Float rate);
-                      ("requests", Json.Int n);
-                      ("latency", H.to_json hist) ])
-               open_loop) );
-        ( "recovery",
-          Json.Obj
-            [ ("total_mutations", Json.Int total_mutations);
-              ("snapshot_every", Json.Int snapshot_every);
-              ("snapshot_seq", Json.Int r.Mcl_service.Server.snapshot_seq);
-              ("replayed", Json.Int r.replayed);
-              ("recover_wall_s", Json.Float recover_wall);
-              ("fingerprint_equal", Json.Bool fingerprint_equal) ] ) ]
-  in
-  let oc = open_out "BENCH_service_load.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote BENCH_service_load.json\n\n"
 
 (* ---------------------------------------------------------------- *)
 (* Congestion: incremental-map throughput and the weight trade-off.   *)
@@ -1156,96 +512,6 @@ let congest ~scale () =
   output_char oc '\n';
   close_out oc;
   Printf.printf "\nwrote BENCH_congest.json\n\n"
-
-(* ---------------------------------------------------------------- *)
-(* Resilience: WAL append/scan/replay throughput and the cost of the  *)
-(* cooperative budget poll. Emits BENCH_resilience.json.              *)
-(* ---------------------------------------------------------------- *)
-
-let resilience ~scale () =
-  let module Json = Mcl_service.Json in
-  let module P = Mcl_service.Protocol in
-  let module Server = Mcl_service.Server in
-  let module Engine = Mcl_service.Engine in
-  let module Wal = Mcl_resilience.Wal in
-  let module Budget = Mcl_resilience.Budget in
-  Printf.printf "== Resilience: WAL throughput and budget-poll cost ==\n\n";
-  let appends = max 200 (int_of_float (2000.0 *. scale)) in
-  let payload = {|{"op":"eco","design":"bench","cells":[1,2,3,4,5,6,7,8]}|} in
-  let wal_rates ~fsync =
-    let path = Filename.temp_file "mcl_bench" ".wal" in
-    let w = Wal.open_ ~fsync ~path () in
-    let (), dt =
-      timed (fun () ->
-          for _ = 1 to appends do ignore (Wal.append w payload) done)
-    in
-    Wal.close w;
-    let (), scan_dt = timed (fun () -> ignore (Wal.read ~path)) in
-    Sys.remove path;
-    (float_of_int appends /. dt, float_of_int appends /. scan_dt)
-  in
-  let fsync_rate, scan_rate = wal_rates ~fsync:true in
-  let buffered_rate, _ = wal_rates ~fsync:false in
-  Printf.printf "  WAL append (fsync)     %12.0f records/s\n" fsync_rate;
-  Printf.printf "  WAL append (no fsync)  %12.0f records/s\n" buffered_rate;
-  Printf.printf "  WAL scan               %12.0f records/s\n" scan_rate;
-  let polls = max 100_000 (int_of_float (5_000_000.0 *. scale)) in
-  let poll_ns b =
-    let (), dt = timed (fun () -> for _ = 1 to polls do Budget.check b done) in
-    dt /. float_of_int polls *. 1e9
-  in
-  let off_ns = poll_ns None in
-  let armed =
-    Budget.create ~clock:Unix.gettimeofday
-      ~deadline:(Unix.gettimeofday () +. 3600.0) ()
-  in
-  let armed_ns = poll_ns (Some armed) in
-  Printf.printf "  Budget.check (off)     %12.2f ns/poll\n" off_ns;
-  Printf.printf "  Budget.check (armed)   %12.2f ns/poll\n" armed_ns;
-  (* replay: journal a mutating trace live, then recover a fresh engine *)
-  let parse line =
-    match P.parse ~received:(Unix.gettimeofday ()) ~default_id:"b" line with
-    | Ok r -> r
-    | Error e -> failwith e.P.message
-  in
-  let path = Filename.temp_file "mcl_bench_replay" ".wal" in
-  let eng = Engine.create ~threads:1 ~config:Mcl.Config.default () in
-  let w = Wal.open_ ~path () in
-  let journal line =
-    ignore (Server.execute_and_journal eng ~wal:w [| parse line |])
-  in
-  journal {|{"op":"load","design":"b","cells":200,"seed":5}|};
-  journal {|{"op":"legalize","design":"b"}|};
-  let ecos = max 10 (int_of_float (30.0 *. scale)) in
-  for i = 1 to ecos do
-    journal
-      (Printf.sprintf {|{"op":"eco","design":"b","cells":[%d,%d]}|}
-         (3 + (i mod 140))
-         (3 + (i * 7 mod 140)))
-  done;
-  Wal.close w;
-  let eng2 = Engine.create ~threads:1 ~config:Mcl.Config.default () in
-  let r, dt = timed (fun () -> Server.recover eng2 ~path) in
-  Sys.remove path;
-  let replay_rate = float_of_int r.Server.replayed /. dt in
-  Printf.printf "  WAL replay             %12.1f mutations/s (%d mutations)\n"
-    replay_rate r.Server.replayed;
-  let json =
-    Json.Obj
-      [ ("bench", Json.String "resilience");
-        ("wal_append_fsync_per_s", Json.Float fsync_rate);
-        ("wal_append_buffered_per_s", Json.Float buffered_rate);
-        ("wal_scan_per_s", Json.Float scan_rate);
-        ("budget_check_off_ns", Json.Float off_ns);
-        ("budget_check_armed_ns", Json.Float armed_ns);
-        ("replay_mutations", Json.Int r.Server.replayed);
-        ("replay_per_s", Json.Float replay_rate) ]
-  in
-  let oc = open_out "BENCH_resilience.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote BENCH_resilience.json\n\n"
 
 (* ---------------------------------------------------------------- *)
 (* Spatially-sharded legalization: cells/s vs domain count on wide    *)
@@ -1610,90 +876,12 @@ let exact ~scale () =
   Printf.printf "\nwrote BENCH_exact.json\n\n"
 
 (* ---------------------------------------------------------------- *)
-(* Bechamel micro-benchmarks: one Test.make per table/figure kernel.  *)
-(* ---------------------------------------------------------------- *)
-
-let micro () =
-  Printf.printf "== Bechamel micro-benchmarks (ns/run, OLS) ==\n\n";
-  let open Bechamel in
-  let small name = { Mcl_gen.Spec.default with Mcl_gen.Spec.num_cells = 300; name } in
-  let t1 =
-    Test.make ~name:"table1:pipeline-small"
-      (Staged.stage (fun () ->
-           let d = Mcl_gen.Generator.generate (small "t1") in
-           ignore (Mcl.Pipeline.run Mcl.Config.default d)))
-  in
-  let t2 =
-    Test.make ~name:"table2:mll-small"
-      (Staged.stage (fun () ->
-           let d = Mcl_gen.Generator.generate (small "t2") in
-           ignore
-             (Mcl.Scheduler.run ~disp_from:`Current Mcl.Config.total_displacement d)))
-  in
-  let t3 =
-    Test.make ~name:"table3:postprocess-small"
-      (Staged.stage
-         (let d = Mcl_gen.Generator.generate (small "t3") in
-          ignore (Mcl.Scheduler.run Mcl.Config.default d);
-          let snap = Design.snapshot d in
-          fun () ->
-            Design.restore d snap;
-            ignore (Mcl.Matching_opt.run Mcl.Config.default d);
-            ignore (Mcl.Row_order_opt.run Mcl.Config.default d)))
-  in
-  let f4 =
-    Test.make ~name:"fig4:curve-minimize"
-      (Staged.stage
-         (let c = Mcl.Curve.create () in
-          for i = 0 to 199 do
-            Mcl.Curve.add_left c ~weight:1.0 ~cur:(1000 + i) ~gp:(900 + (2 * i))
-              ~dist:(10 + i)
-          done;
-          fun () -> ignore (Mcl.Curve.minimize c ~lo:0 ~hi:3000)))
-  in
-  let f5 =
-    Test.make ~name:"fig5:mcf-row-order"
-      (Staged.stage
-         (let d = Mcl_gen.Generator.generate (small "f5") in
-          ignore (Mcl.Scheduler.run Mcl.Config.default d);
-          let snap = Design.snapshot d in
-          fun () ->
-            Design.restore d snap;
-            ignore (Mcl.Row_order_opt.run Mcl.Config.default d)))
-  in
-  let f6 =
-    Test.make ~name:"fig6:matching"
-      (Staged.stage
-         (let d = Mcl_gen.Generator.generate (small "f6") in
-          ignore (Mcl.Scheduler.run Mcl.Config.default d);
-          let snap = Design.snapshot d in
-          fun () ->
-            Design.restore d snap;
-            ignore (Mcl.Matching_opt.run Mcl.Config.default d)))
-  in
-  let tests = Test.make_grouped ~name:"mcl" [ t1; t2; t3; f4; f5; f6 ] in
-  let cfg = Benchmark.cfg ~limit:30 ~quota:(Time.second 1.0) ~kde:None () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name v acc -> (name, v) :: acc) results [] in
-  List.sort (fun (a, _) (b, _) -> compare a b) rows
-  |> List.iter (fun (name, v) ->
-      match Analyze.OLS.estimates v with
-      | Some [ t ] -> Printf.printf "%-28s %12.0f ns/run (%.3f ms)\n" name t (t /. 1e6)
-      | _ -> Printf.printf "%-28s (no estimate)\n" name);
-  print_newline ()
-
-(* ---------------------------------------------------------------- *)
 
 let () =
   let section = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   let scale =
     if Array.length Sys.argv > 2 then float_of_string Sys.argv.(2) else 1.0
   in
-  ignore heights_summary;
   let all () =
     fig3 ();
     fig4 ();
@@ -1702,15 +890,10 @@ let () =
     table3 ~scale ();
     table1 ~scale ();
     table2 ~scale ();
-    threads ~scale ();
     ablation ~scale ();
-    service ~scale ();
-    service_load ~scale ();
     congest ~scale ();
-    resilience ~scale ();
     shard ~scale ();
-    exact ~scale ();
-    micro ()
+    exact ~scale ()
   in
   match section with
   | "table1" -> table1 ~scale ()
@@ -1720,18 +903,13 @@ let () =
   | "fig4" -> fig4 ()
   | "fig5" -> fig5 ()
   | "fig6" -> fig6 ~scale ()
-  | "threads" -> threads ~scale ()
   | "ablation" -> ablation ~scale ()
-  | "micro" -> micro ()
-  | "service" -> service ~scale ()
-  | "service_load" -> service_load ~scale ()
   | "congest" -> congest ~scale ()
-  | "resilience" -> resilience ~scale ()
   | "shard" -> shard ~scale ()
   | "exact" -> exact ~scale ()
   | "all" -> all ()
   | other ->
     Printf.eprintf
-      "unknown section %S (use table1|table2|table3|fig3|fig4|fig5|fig6|threads|ablation|service|service_load|congest|resilience|shard|exact|micro|all)\n"
+      "unknown section %S (use table1|table2|table3|fig3|fig4|fig5|fig6|ablation|congest|shard|exact|all)\n"
       other;
     exit 2

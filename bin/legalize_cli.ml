@@ -279,7 +279,7 @@ let run_serve socket threads shards max_batch no_fences no_routability wal_path
   if faults <> None && recover_path <> None then
     usage_error "--fault-kinds cannot be combined with --recover";
   let engine =
-    Mcl_service.Engine.create ~threads ?max_designs ?faults ~config ()
+    Mcl_service.Engine.create ?max_designs ?faults ~config ()
   in
   let recovered_seq =
     match recover_path with
@@ -336,8 +336,8 @@ let serve_cmd =
     Arg.(value & opt int 1
          & info [ "j"; "threads" ]
              ~doc:"Dispatch pool width: independent-design requests of one \
-                   batch run on this many domains (also the MGL scheduler \
-                   width inside each request).")
+                   batch run on this many domains (also the stripe-job \
+                   width inside each request when --shards >= 2).")
   in
   let shards =
     Arg.(value & opt int 1
@@ -445,7 +445,10 @@ let cmd =
          & info [ "a"; "algo" ] ~doc:"Legalizer: pipeline|mgl|greedy|abacus|mll.")
   in
   let threads =
-    Arg.(value & opt int 1 & info [ "j"; "threads" ] ~doc:"MGL scheduler domains.")
+    Arg.(value & opt int 1
+         & info [ "j"; "threads" ]
+             ~doc:"Domains for the sharded MGL scheduler's stripe jobs; \
+                   only matters with --shards >= 2.")
   in
   let shards =
     Arg.(value & opt int 1

@@ -21,7 +21,10 @@ type t = {
   solver : Mcl_flow.Mcf.solver;
   run_matching : bool;          (** enable stage 2 (Sec. 3.2) *)
   run_row_order : bool;         (** enable stage 3 (Sec. 3.3) *)
-  threads : int;                (** MGL scheduler batch width (Sec. 3.5) *)
+  threads : int;
+      (** domain-pool width for the sharded path's stripe jobs
+          ([shards >= 2]) and the service's dispatch of independent
+          designs; never changes a placement *)
   shards : int;
       (** number of spatial die stripes legalized concurrently; 1 (the
           default) keeps the classic round-batched scheduler, [>= 2]

@@ -633,8 +633,8 @@ let evaluate_arena ctx (a : Arena.t) ~n ~row_lo ~y0 ~h ~ci_base ~t_wid ~t_et
    clear margin before skipping a cut. *)
 let prune_margin lb best = 1e-6 +. (1e-9 *. (Float.abs lb +. Float.abs best))
 
-let best ?(check_pruning = false) ?arena ctx ~target ~window =
-  let a = match arena with Some a -> a | None -> ctx.arena in
+let best ?(check_pruning = false) ctx ~target ~window =
+  let a = ctx.arena in
   let design = ctx.design in
   let tgt = design.Design.cells.(target) in
   let h = Design.height design tgt in

@@ -22,7 +22,7 @@ type ctx = {
   congest : Mcl_congest.Congestion.t option;
       (** congestion prior for the soft insertion penalty; [Some] only
           when [config.congestion_weight > 0] (scoring-only: the map is
-          never mutated here, so concurrent windows stay safe) *)
+          never mutated here, so concurrent stripe jobs stay safe) *)
   disp_from : [ `Gp | `Current ];
       (** [`Gp] measures local-cell displacement from GP positions
           (MGL); [`Current] from current positions (the MLL baseline). *)
@@ -33,8 +33,9 @@ type ctx = {
           cell that ends after site [x] starts after [x - reach]. Bounds
           the row scans of {!best} and of the exact solver. *)
   arena : Arena.t;
-      (** default scratch arena for {!best}; single-owner, so parallel
-          callers must pass their own via [?arena] *)
+      (** scratch arena for {!best}; single-owner, so contexts that run
+          concurrently (the sharded path's stripe jobs) each get their
+          own through [make_ctx ?arena] *)
   log : Arena.Ibuf.t option;
       (** undo log of the mutation in progress, when the context keeps
           one (the service's resident ECO context, see {!Eco.context});
@@ -66,14 +67,14 @@ type candidate = {
 (** Cheapest insertion of [target] (an unplaced cell id) within
     [window]; [None] when no feasible insertion point exists.
 
-    Runs the allocation-lean arena kernel: scratch comes from [?arena]
-    (default [ctx.arena]), cuts are evaluated cheapest-lower-bound
-    first, and cuts whose bound exceeds the incumbent cost are skipped
-    entirely. Counters accumulate on the arena used. [?check_pruning]
+    Runs the allocation-lean arena kernel: scratch comes from
+    [ctx.arena], cuts are evaluated cheapest-lower-bound first, and
+    cuts whose bound exceeds the incumbent cost are skipped entirely.
+    Counters accumulate on [ctx.arena]. [?check_pruning]
     re-evaluates every pruned cut and fails if one would have beaten
     the incumbent (tests only). *)
 val best :
-  ?check_pruning:bool -> ?arena:Arena.t ->
+  ?check_pruning:bool ->
   ctx -> target:int -> window:Mcl_geom.Rect.t -> candidate option
 
 (** Commit a candidate: shifts local cells, moves the target and

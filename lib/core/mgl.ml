@@ -111,8 +111,6 @@ let grow_window (w : Rect.t) ~die ~factor =
   Rect.inter die
     (Rect.make ~xl:(cx - hw) ~yl:(cy - hh) ~xh:(cx + hw) ~yh:(cy + hh))
 
-let utilization = Insertion.utilization
-
 let initial_window config design (tgt : Cell.t) ~h ~w ~util =
   let die = Floorplan.die design.Design.floorplan in
   (* dense designs need wider windows up-front: a window must contain
@@ -215,8 +213,7 @@ let boundary_gap config design =
   end
 
 (* Congestion prior for the soft insertion penalty: built once from
-   the pre-legalization positions, scoring-only afterwards (so
-   concurrent scheduler windows read it without synchronization). *)
+   the pre-legalization positions, scoring-only afterwards. *)
 let congest_map config design =
   if config.Config.congestion_weight > 0.0 then
     Some

@@ -59,8 +59,8 @@ val boundary_gap : Config.t -> Mcl_netlist.Design.t -> int
 val default_order : Design.t -> int array
 
 (** Initial window around a cell's GP position; [util] is the design
-    utilization (see {!utilization}), which widens windows on dense
-    designs. *)
+    utilization (see {!Insertion.utilization}), which widens windows on
+    dense designs. *)
 val initial_window :
   Config.t -> Design.t -> Cell.t -> h:int -> w:int -> util:float ->
   Mcl_geom.Rect.t
@@ -82,10 +82,6 @@ val fallback_place : ?relax_routability:bool -> Insertion.ctx -> int -> bool
 val legalize_one :
   ?budget:Mcl_resilience.Budget.t -> Insertion.ctx -> target:int ->
   growths:int ref -> bool
-
-(** Fraction of the die area occupied by cells (alias of
-    {!Insertion.utilization}; contexts hold it precomputed). *)
-val utilization : Design.t -> float
 
 (** Congestion prior for the soft insertion penalty: [Some] (built
     from the design's current positions) iff

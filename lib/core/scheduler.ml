@@ -24,8 +24,8 @@ type pending = {
   mutable tries : int;
 }
 
-(* Shared-queue domain pool: also the service engine's dispatcher for
-   independent-design work, so both fan-outs share one mechanism. *)
+(* Shared-queue domain pool: runs the sharded path's stripe jobs and
+   the service engine's dispatch of independent designs. *)
 let run_jobs ~threads jobs =
   match jobs with
   | [] -> ()
@@ -81,16 +81,6 @@ let run_batched ~disp_from ?budget config design =
          waiting)
     (Mgl.default_order design);
   let growths = ref 0 and fallbacks = ref 0 and legalized = ref 0 and rounds = ref 0 in
-  let threads = max 1 config.Config.threads in
-  (* one scratch arena per worker slot: arenas are single-owner, and a
-     chunk index maps to the same slot for the whole run, so buffers
-     stay warm across rounds. Slot 0 reuses the ctx arena so the
-     single-thread path shares its warm-up. *)
-  let kernel_before = Arena.counters ctx.Insertion.arena in
-  let arenas =
-    Array.init threads (fun t ->
-        if t = 0 then ctx.Insertion.arena else Arena.create ())
-  in
   while not (Queue.is_empty waiting) do
     (* round boundary: the placement is consistent here, and every
        window retry passes through this loop, so deadline cancellation
@@ -108,32 +98,15 @@ let run_batched ~disp_from ?budget config design =
     Queue.clear waiting;
     Queue.transfer deferred waiting;
     let batch = Array.of_list (List.rev !batch) in
-    (* compute best candidates read-only *)
-    let results = Array.make (Array.length batch) None in
-    let compute arena lo hi =
-      for i = lo to hi - 1 do
-        (* per-candidate poll: cheap (atomic decrement), and raising
-           here is safe — the compute phase is read-only, and a raise
-           on a worker domain resurfaces from [run_jobs]'s join *)
-        Mcl_resilience.Budget.check budget;
-        results.(i) <-
-          Insertion.best ~arena ctx ~target:batch.(i).cell
-            ~window:batch.(i).window
-      done
+    (* compute every candidate read-only before applying any; the
+       per-candidate poll is safe because nothing has moved yet *)
+    let results =
+      Array.map
+        (fun p ->
+           Mcl_resilience.Budget.check budget;
+           Insertion.best ctx ~target:p.cell ~window:p.window)
+        batch
     in
-    if threads = 1 || Array.length batch < 2 * threads then
-      compute arenas.(0) 0 (Array.length batch)
-    else begin
-      let n = Array.length batch in
-      let chunk = (n + threads - 1) / threads in
-      run_jobs ~threads
-        (List.filter_map
-           (fun t ->
-              let lo = t * chunk and hi = min n ((t + 1) * chunk) in
-              if lo < hi then Some (fun () -> compute arenas.(t) lo hi)
-              else None)
-           (List.init threads Fun.id))
-    end;
     (* apply in order; windows are disjoint so candidates stay valid *)
     Array.iteri
       (fun i p ->
@@ -167,13 +140,10 @@ let run_batched ~disp_from ?budget config design =
            end)
       batch
   done;
-  let kernel = ref (Arena.diff ~before:kernel_before
-                      ~after:(Arena.counters arenas.(0))) in
-  for t = 1 to threads - 1 do
-    kernel := Arena.merge !kernel (Arena.counters arenas.(t))
-  done;
+  (* the context, and with it the arena, was made for this run *)
   { legalized = !legalized; rounds = !rounds; window_growths = !growths;
-    fallbacks = !fallbacks; kernel = !kernel; sharding = None }
+    fallbacks = !fallbacks; kernel = Arena.counters ctx.Insertion.arena;
+    sharding = None }
 
 (* ---------------------------------------------------------------- *)
 (* Sharded path: one coarse job per die stripe, then a sequential     *)

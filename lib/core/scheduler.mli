@@ -9,11 +9,12 @@
     those whose window grew after a failed insertion). Each round, a
     maximal prefix-greedy batch of non-overlapping windows is selected
     in cell order; their best insertion points are computed read-only
-    (optionally on multiple domains) and then applied in order. Because
-    the windows are disjoint, the computed candidates touch disjoint
-    cell sets and the result is identical to processing the batch
-    sequentially — determinism follows by construction, as the paper
-    argues.
+    and then applied in order. Because the windows are disjoint, the
+    computed candidates touch disjoint cell sets and the result is
+    identical to processing the batch sequentially — determinism
+    follows by construction, as the paper argues. This path runs on
+    the calling domain, so [config.threads] has no effect here
+    (DESIGN.md §16 gives the measurements behind that choice).
 
     {b Spatially sharded} ([shards >= 2]). The die is split into
     contiguous column stripes at seams fixed by die geometry and fence
@@ -25,7 +26,8 @@
     occupancies are merged and a sequential boundary pass legalizes the
     rest in global order. Stripe jobs touch disjoint cells and sites,
     and the boundary pass is sequential, so the output depends on
-    [config.shards] (seam geometry) but never on [config.threads]. *)
+    [config.shards] (seam geometry) but never on [config.threads],
+    which only sizes the domain pool the stripe jobs run on. *)
 
 open Mcl_netlist
 
@@ -44,22 +46,21 @@ type stats = {
   window_growths : int;
   fallbacks : int;
   kernel : Arena.counters;
-      (** merged insertion-kernel counters across all worker arenas, in
-          shard-index order (then the boundary arena) on the sharded
-          path — byte-stable for any thread count *)
+      (** insertion-kernel counters of the run; on the sharded path
+          the stripe arenas merge in shard-index order, then the
+          boundary arena — byte-stable for any thread count *)
   sharding : shard_info option;
       (** [Some] iff the sharded path ran *)
 }
 
-(** [run config design] legalizes like {!Mgl.run} but batch-scheduled;
-    [config.threads] > 1 computes each batch on that many domains.
-    [config.shards] >= 2 switches to the sharded path above
-    ([shard_margin] widens the seam clearance used when classifying
-    cells as interior, default 0). [budget] is polled at round
-    boundaries and per candidate evaluation (sharded path: per window
-    attempt); expiry raises
-    {!Mcl_resilience.Budget.Deadline_exceeded} (from the calling
-    domain — worker raises are funnelled through the pool join). *)
+(** [run config design] legalizes like {!Mgl.run} but batch-scheduled.
+    [config.shards] >= 2 switches to the sharded path above, whose
+    stripe jobs run on [config.threads] domains ([shard_margin] widens
+    the seam clearance used when classifying cells as interior,
+    default 0). [budget] is polled at round boundaries and per
+    candidate evaluation (sharded path: per window attempt); expiry
+    raises {!Mcl_resilience.Budget.Deadline_exceeded} (from the calling
+    domain — stripe-job raises are funnelled through the pool join). *)
 val run :
   ?disp_from:[ `Gp | `Current ] -> ?budget:Mcl_resilience.Budget.t ->
   ?shard_margin:int ->
@@ -68,10 +69,9 @@ val run :
 (** [run_jobs ~threads jobs] drains [jobs] through a shared work queue
     on [min threads (length jobs)] domains; with [threads <= 1] (or a
     single job) everything runs inline on the calling domain, in list
-    order. This is the domain pool behind {!run}'s per-round candidate
-    computation and the sharded path's stripe jobs, exposed so other
-    subsystems (the ECO service engine) can fan independent-design work
-    across the same mechanism.
+    order. This is the domain pool behind the sharded path's stripe
+    jobs, exposed so the ECO service engine can fan independent-design
+    work across the same mechanism.
 
     Jobs must not touch shared mutable state without their own
     synchronization. A job that raises kills its worker after the

@@ -29,8 +29,8 @@
     final placement state — is deterministic. Within a batch the
     engine's planner still serializes same-design requests in arrival
     order and fans independent designs across the engine's domain pool
-    ([threads]), so per-design ordering is preserved while unrelated
-    designs execute concurrently.
+    ([Config.threads] wide), so per-design ordering is preserved while
+    unrelated designs execute concurrently.
 
     {b Durability} is group commit through
     {!Mcl_service.Server.execute_and_journal}: the whole batch's

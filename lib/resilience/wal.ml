@@ -1,7 +1,5 @@
 type t = {
   fd : Unix.file_descr;
-  fsync : bool;
-  checksum : bool;
   faults : Fault.t option;
   mutable seq : int;  (* last assigned *)
   mutable closed : bool;
@@ -54,15 +52,13 @@ let frame_crc ~seq payload =
   let c = Crc32.update c payload 0 (String.length payload) in
   Crc32.update c "}" 0 1
 
-(* Append one framed record to [buf]: legacy shape, or with the
+(* Append one checksummed record to [buf]: the legacy shape with the
    [,"crc":C] field spliced in after the sequence number. *)
-let add_frame buf ~checksum ~seq payload =
+let add_frame buf ~seq payload =
   Buffer.add_string buf {|{"seq":|};
   Buffer.add_string buf (string_of_int seq);
-  if checksum then begin
-    Buffer.add_string buf {|,"crc":|};
-    Buffer.add_string buf (string_of_int (frame_crc ~seq payload))
-  end;
+  Buffer.add_string buf {|,"crc":|};
+  Buffer.add_string buf (string_of_int (frame_crc ~seq payload));
   Buffer.add_string buf {|,"req":|};
   Buffer.add_string buf payload;
   Buffer.add_char buf '}'
@@ -178,8 +174,7 @@ let read_file path =
 
 let read ~path = fst (scan (read_file path))
 
-let open_ ?(fsync = true) ?(checksum = true) ?(best_effort = false) ?faults
-    ?(next_seq = 1) ~path () =
+let open_ ?(best_effort = false) ?faults ?(next_seq = 1) ~path () =
   let report, valid_bytes = scan (read_file path) in
   (* a terminated bad record is corruption, not a torn tail: refuse to
      append after it unless the caller explicitly settles for the
@@ -201,7 +196,7 @@ let open_ ?(fsync = true) ?(checksum = true) ?(best_effort = false) ?faults
     | r :: _ -> max r.seq (next_seq - 1)
     | [] -> next_seq - 1
   in
-  { fd; fsync; checksum; faults; seq; closed = false;
+  { fd; faults; seq; closed = false;
     appends = 0; fsyncs = 0; groups = 0; truncated_bytes = 0 }
 
 let next_seq (t : t) = t.seq + 1
@@ -239,7 +234,7 @@ let append_all t payloads =
          if String.contains payload '\n' then
            invalid_arg "Wal.append_all: payload contains a newline";
          incr seq;
-         add_frame buf ~checksum:t.checksum ~seq:!seq payload;
+         add_frame buf ~seq:!seq payload;
          Buffer.add_char buf '\n')
       payloads;
     let group = Buffer.contents buf in
@@ -254,10 +249,8 @@ let append_all t payloads =
     in
     let keep = Fault.torn_write t.faults (String.length group) in
     write_all t.fd (String.sub group 0 keep);
-    if t.fsync then begin
-      Unix.fsync t.fd;
-      t.fsyncs <- t.fsyncs + 1
-    end;
+    Unix.fsync t.fd;
+    t.fsyncs <- t.fsyncs + 1;
     t.appends <- t.appends + List.length payloads;
     t.groups <- t.groups + 1;
     t.seq <- !seq;
@@ -275,7 +268,7 @@ let truncate t =
   let size = (Unix.fstat t.fd).Unix.st_size in
   Unix.ftruncate t.fd 0;
   ignore (Unix.lseek t.fd 0 Unix.SEEK_SET);
-  if t.fsync then Unix.fsync t.fd;
+  Unix.fsync t.fd;
   t.truncated_bytes <- t.truncated_bytes + size;
   size
 

@@ -7,7 +7,7 @@
     survives a crash, and a request the engine rolled back is never
     journaled (replaying it would diverge).
 
-    One record per line, checksummed by default:
+    One record per line, checksummed:
     {[ {"seq":<n>,"crc":<c>,"req":<request object>} ]}
 
     [<c>] is the CRC-32 ({!Crc32}) of the legacy frame
@@ -87,22 +87,20 @@ val corrupt : report -> bool
     rendering of a report, for operator-facing refusal messages. *)
 val corrupt_summary : report -> string
 
-(** [open_ ?fsync ?checksum ?best_effort ?faults ?next_seq ~path ()]
-    opens (creating if needed) the journal for appending, after
-    repairing a torn tail. [fsync] (default [true]) syncs every
-    append; benchmarks may turn it off. [checksum] (default [true])
-    writes CRC-framed records; [false] writes legacy frames (the
-    checksum-overhead bench lane). [best_effort] (default [false]):
-    when the journal is {!corrupt}, [false] raises {!Corrupt} and
-    [true] truncates to the valid prefix and proceeds. [faults]
-    enables the [Bit_flip]/[Torn_write] lanes on the append path.
-    [next_seq] (default 1) seeds the sequence counter when the file
-    holds no records — pass [snapshot_seq + 1] when reopening a
-    journal that was truncated after a snapshot, so numbering
-    continues instead of restarting at 1. *)
+(** [open_ ?best_effort ?faults ?next_seq ~path ()] opens (creating
+    if needed) the journal for appending, after repairing a torn tail.
+    Every append group and every {!truncate} is fsynced, and every
+    record is written CRC-framed; legacy frames are only ever read.
+    [best_effort] (default [false]): when the journal is {!corrupt},
+    [false] raises {!Corrupt} and [true] truncates to the valid prefix
+    and proceeds. [faults] enables the [Bit_flip]/[Torn_write] lanes on
+    the append path. [next_seq] (default 1) seeds the sequence counter
+    when the file holds no records — pass [snapshot_seq + 1] when
+    reopening a journal that was truncated after a snapshot, so
+    numbering continues instead of restarting at 1. *)
 val open_ :
-  ?fsync:bool -> ?checksum:bool -> ?best_effort:bool -> ?faults:Fault.t ->
-  ?next_seq:int -> path:string -> unit -> t
+  ?best_effort:bool -> ?faults:Fault.t -> ?next_seq:int -> path:string ->
+  unit -> t
 
 (** Next sequence number to be assigned. *)
 val next_seq : t -> int

@@ -9,7 +9,6 @@ type t = {
   cache : Cache.t;
   telemetry : Telemetry.t;
   config : Mcl.Config.t;
-  threads : int;
   faults : Fault.t option;
   mutable shutdown : bool;
 }
@@ -18,15 +17,12 @@ type t = {
    acknowledged [req_id]s are retriable as no-ops *)
 let dedup_window = 64
 
-let create ?(threads = 1) ?max_designs ?faults ~config () =
+let create ?max_designs ?faults ~config () =
   { cache = Cache.create ?max_designs ();
     telemetry = Telemetry.create ();
     config;
-    threads = max 1 threads;
     faults;
     shutdown = false }
-
-let threads t = t.threads
 
 let telemetry t = t.telemetry
 
@@ -581,7 +577,7 @@ let exec_stats t req =
     ~metrics:(mk_metrics ~req ~started ~finished ~cells:0 ~disp:0.0 ~coalesced:1 ())
     (Json.Obj
        [ ("counters", Telemetry.to_json t.telemetry);
-         ("threads", Json.Int t.threads);
+         ("threads", Json.Int (max 1 t.config.Mcl.Config.threads));
          ("designs", Json.List designs) ])
 
 (* One coalesced run of adjacent eco requests against one design: one
@@ -890,6 +886,7 @@ let exec_global t (i, req) =
   [ (i, resp) ]
 
 let execute t requests =
+  let threads = max 1 t.config.Mcl.Config.threads in
   Telemetry.add t.telemetry Batches 1;
   Telemetry.keep_max t.telemetry Max_batch (Array.length requests);
   let responses = Array.make (Array.length requests) None in
@@ -907,7 +904,7 @@ let execute t requests =
         (* worker-death fates are drawn here, on the control thread,
            one per dispatched group — never from inside a domain *)
         let doomed = List.map (fun _ -> Fault.worker_death t.faults) groups in
-        if t.threads <= 1 || List.length groups <= 1 then
+        if threads <= 1 || List.length groups <= 1 then
           List.iter2
             (fun g dead ->
                file (if dead then worker_death_responses g else exec_group t g))
@@ -918,7 +915,7 @@ let execute t requests =
              response slots (telemetry/cache guard themselves) *)
           let results = Array.make (List.length groups) [] in
           let doomed = Array.of_list doomed in
-          Mcl.Scheduler.run_jobs ~threads:t.threads
+          Mcl.Scheduler.run_jobs ~threads
             (List.mapi
                (fun gi g () ->
                   results.(gi) <-

@@ -6,7 +6,7 @@
     - the batch is planned into segments ({!Batch.plan}); global
       requests run on the control thread, per-design groups of a
       segment are dispatched across {!Mcl.Scheduler.run_jobs} domains
-      ([threads] wide), so requests against independent designs
+      ([config.threads] wide), so requests against independent designs
       overlap;
     - within a design group, maximal runs of adjacent [eco] requests
       coalesce into a single {!Mcl.Eco.relegalize} call (one segment
@@ -53,18 +53,16 @@
 
 type t
 
-(** [create ?threads ?max_designs ?faults ~config ()] — [threads]
-    sizes the dispatch pool (default 1 = everything on the control
+(** [create ?max_designs ?faults ~config ()] — [config] is the base
+    legalization config used by [legalize] and [eco], and its [threads]
+    also sizes the dispatch pool (1 = everything on the control
     thread); [max_designs] bounds the design cache with LRU eviction
     (default: unbounded, see {!Cache}); [faults] arms a fault-injection
-    plan (default: none, all hooks free); [config] is the base
-    legalization config used by [legalize] and [eco]. Each design's
-    idempotency window holds its last 64 acknowledged [req_id]s. *)
+    plan (default: none, all hooks free). Each design's idempotency
+    window holds its last 64 acknowledged [req_id]s. *)
 val create :
-  ?threads:int -> ?max_designs:int -> ?faults:Mcl_resilience.Fault.t ->
+  ?max_designs:int -> ?faults:Mcl_resilience.Fault.t ->
   config:Mcl.Config.t -> unit -> t
-
-val threads : t -> int
 
 val telemetry : t -> Telemetry.t
 

@@ -18,7 +18,7 @@ module Crc32 = Mcl_resilience.Crc32
 
 let config = Mcl.Config.default
 
-let engine ?(threads = 1) () = Engine.create ~threads ~config ()
+let engine () = Engine.create ~config ()
 
 let with_tmpdir f =
   let dir = Filename.temp_file "mcl_durab" "" in
@@ -366,14 +366,7 @@ let test_legacy_compat () =
       let r = Wal.read ~path in
       Alcotest.(check int) "mixed journal reads whole" 3
         (List.length r.Wal.records);
-      Alcotest.(check int) "only the old frames are legacy" 2 r.Wal.legacy;
-      (* checksum:false writes legacy frames (the bench CRC-off lane) *)
-      let off_path = Filename.concat dir "nocrc.wal" in
-      let w = Wal.open_ ~checksum:false ~path:off_path () in
-      ignore (Wal.append_all w [ {|{"op":"a"}|}; {|{"op":"b"}|} ]);
-      Wal.close w;
-      let r = Wal.read ~path:off_path in
-      Alcotest.(check int) "checksum:false = legacy frames" 2 r.Wal.legacy)
+      Alcotest.(check int) "only the old frames are legacy" 2 r.Wal.legacy)
 
 (* ---------------------------------------------------------------- *)
 (* Bit-flip / torn-write lanes on the real write path                *)

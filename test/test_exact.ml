@@ -354,7 +354,7 @@ module Server = Mcl_service.Server
 module Protocol = Mcl_service.Protocol
 module Wal = Mcl_resilience.Wal
 
-let fresh_engine () = Engine.create ~threads:1 ~config:Mcl.Config.default ()
+let fresh_engine () = Engine.create ~config:Mcl.Config.default ()
 
 let parse_req line =
   match

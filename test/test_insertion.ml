@@ -416,17 +416,16 @@ let test_arena_reuse_is_stateless () =
     Mcl.Mgl.initial_window cfg d tgt ~h:(Design.height d tgt)
       ~w:(Design.width d tgt) ~util:ctx.Mcl.Insertion.utilization
   in
-  let shared = Mcl.Arena.create () in
+  let warm_ctx = { ctx with Mcl.Insertion.arena = Mcl.Arena.create () } in
   Array.iteri
     (fun i target ->
        if i < 8 then begin
          let fresh =
-           Mcl.Insertion.best ~arena:(Mcl.Arena.create ()) ctx ~target
-             ~window:(window target)
+           Mcl.Insertion.best
+             { ctx with Mcl.Insertion.arena = Mcl.Arena.create () }
+             ~target ~window:(window target)
          in
-         let warm =
-           Mcl.Insertion.best ~arena:shared ctx ~target ~window:(window target)
-         in
+         let warm = Mcl.Insertion.best warm_ctx ~target ~window:(window target) in
          Alcotest.(check bool)
            (Printf.sprintf "warm arena == fresh arena (target %d)" target)
            true

@@ -16,7 +16,7 @@ module Wal = Mcl_resilience.Wal
 
 let config = Mcl.Config.default
 
-let engine ?max_designs () = Engine.create ~threads:1 ?max_designs ~config ()
+let engine ?max_designs () = Engine.create ?max_designs ~config ()
 
 let with_tmpdir f =
   let dir = Filename.temp_file "mcl_netserve" "" in

@@ -15,7 +15,7 @@ module Wal = Mcl_resilience.Wal
 
 let config = Mcl.Config.default
 
-let engine ?faults ?(threads = 1) () = Engine.create ~threads ?faults ~config ()
+let engine ?faults () = Engine.create ?faults ~config ()
 
 let parse_exn line =
   match Json.parse line with

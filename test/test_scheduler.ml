@@ -1,8 +1,10 @@
 (* The paper's Sec. 3.5 claim: the batch scheduler is deterministic by
    construction — windows in one round are pairwise disjoint, so
-   computing candidates on N domains and applying them in order is
-   bit-identical to the sequential run. Verified here on a PRNG-seeded
-   suite, plus the run_jobs pool itself. *)
+   computing every candidate and then applying them in order is
+   bit-identical to the sequential run. The round-batched path runs on
+   one domain; the threads 1 vs 4 case pins that [Config.threads]
+   cannot leak into it, on a PRNG-seeded suite. Plus the run_jobs pool
+   itself (the sharded path's and the service's dispatcher). *)
 
 open Mcl_netlist
 

@@ -7,8 +7,7 @@ module Engine = Mcl_service.Engine
 module Protocol = Mcl_service.Protocol
 module Batch = Mcl_service.Batch
 
-let engine ?(threads = 1) () =
-  Engine.create ~threads ~config:Mcl.Config.default ()
+let engine ?(config = Mcl.Config.default) () = Engine.create ~config ()
 
 let parse_exn line =
   match Json.parse line with
@@ -262,7 +261,7 @@ let test_coalesced_failure_retries_individually () =
     (Json.get_int "eco_count" (result_exn q))
 
 let test_parallel_designs () =
-  let eng = engine ~threads:4 () in
+  let eng = engine ~config:{ Mcl.Config.default with threads = 4 } () in
   check_ok "load a" (handle eng {|{"op":"load","design":"a","cells":200,"seed":1}|});
   check_ok "load b" (handle eng {|{"op":"load","design":"b","cells":200,"seed":2}|});
   let reqs =
@@ -902,7 +901,7 @@ let test_mid_run_rollback () =
   in
   let next_eco = {|{"op":"eco","design":"d","cells":[3,40],"targets":[[41,[30,6]]]}|} in
   let faults = Mcl_resilience.Fault.create ~seed:3 ~kinds:[ Mcl_resilience.Fault.Clock_skew ] in
-  let eng = Engine.create ~threads:1 ~faults ~config:Mcl.Config.default () in
+  let eng = Engine.create ~faults ~config:Mcl.Config.default () in
   List.iter (fun l -> check_ok l (handle eng l)) prefix;
   let entry = entry_exn eng "d" in
   let ctx =
