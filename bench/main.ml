@@ -377,17 +377,12 @@ let ablation ~scale () =
        let s, t = run { base with Mcl.Config.window_halfwidth = hw } in
        show (Printf.sprintf "initial window halfwidth = %d" hw) s t)
     [ 10; 60 ];
-  List.iter
-    (fun solver ->
-       let name =
-         match solver with
-         | Mcl_flow.Mcf.Network_simplex_block -> "NS block pivots"
-         | Mcl_flow.Mcf.Network_simplex_first -> "NS first-eligible pivots (paper)"
-         | Mcl_flow.Mcf.Ssp -> "successive shortest paths"
-       in
-       let s, t = run { base with Mcl.Config.solver = solver } in
-       show ("solver: " ^ name) s t)
-    [ Mcl_flow.Mcf.Network_simplex_first ];
+  (let s, t =
+     run
+       { base with
+         Mcl.Config.pivot_rule = Mcl_flow.Network_simplex.First_eligible }
+   in
+   show "solver: NS first-eligible pivots (paper)" s t);
   print_newline ()
 
 (* ---------------------------------------------------------------- *)

@@ -335,9 +335,9 @@ let serve_cmd =
   let threads =
     Arg.(value & opt int 1
          & info [ "j"; "threads" ]
-             ~doc:"Dispatch pool width: independent-design requests of one \
-                   batch run on this many domains (also the stripe-job \
-                   width inside each request when --shards >= 2).")
+             ~doc:"Domains for the sharded MGL scheduler's stripe jobs \
+                   inside each legalize request; only matters with \
+                   --shards >= 2.")
   in
   let shards =
     Arg.(value & opt int 1

@@ -88,27 +88,19 @@ let add_pin t ~px ~py delta =
 (* Construction / rebuild                                            *)
 (* ---------------------------------------------------------------- *)
 
-(* Accumulate nets [lo, hi) into the given maps (not necessarily the
-   live ones: the parallel build hands each chunk private arrays).
-   Boxes land in [t.boxes] directly — chunk ranges are disjoint. *)
-let populate_range t ~demand ~pins ~lo ~hi =
-  for n = lo to hi - 1 do
-    let net = t.design.Design.nets.(n) in
-    compute_box t net t.boxes.(n);
-    iter_box_contribs t t.boxes.(n) (fun i c -> demand.(i) <- demand.(i) + c);
-    List.iter
-      (fun ep ->
-         let px, py = pin_pos t.design ep in
-         let i = Grid.bin_of_dbu t.grid ~px ~py in
-         pins.(i) <- pins.(i) + 1)
-      net.Net.endpoints
-  done
-
 let populate t =
   Array.fill t.demand 0 (Array.length t.demand) 0;
   Array.fill t.pins 0 (Array.length t.pins) 0;
-  populate_range t ~demand:t.demand ~pins:t.pins ~lo:0
-    ~hi:(Array.length t.design.Design.nets)
+  Array.iteri
+    (fun n (net : Net.t) ->
+       compute_box t net t.boxes.(n);
+       add_box t t.boxes.(n);
+       List.iter
+         (fun ep ->
+            let px, py = pin_pos t.design ep in
+            add_pin t ~px ~py 1)
+         net.Net.endpoints)
+    t.design.Design.nets
 
 let make ?bin_sites design =
   let grid = Grid.make ?bin_sites design.Design.floorplan in
@@ -146,35 +138,6 @@ let make ?bin_sites design =
 let create ?bin_sites design =
   let t = make ?bin_sites design in
   populate t;
-  t
-
-(* Parallel build: contiguous net ranges accumulate into private maps,
-   summed in chunk-index order. All contributions are ints, so the sum
-   is the sequential result bit for bit, whatever order [run] executes
-   the chunks in. *)
-let create_par ?bin_sites ~run ~chunks design =
-  let t = make ?bin_sites design in
-  let n_nets = Array.length design.Design.nets in
-  let chunks = max 1 (min chunks n_nets) in
-  if chunks <= 1 then populate t
-  else begin
-    let nbins = Array.length t.demand in
-    let parts =
-      Array.init chunks (fun _ -> (Array.make nbins 0, Array.make nbins 0))
-    in
-    run
-      (List.init chunks (fun c () ->
-           let demand, pins = parts.(c) in
-           populate_range t ~demand ~pins ~lo:(n_nets * c / chunks)
-             ~hi:(n_nets * (c + 1) / chunks)));
-    Array.iter
-      (fun (d, p) ->
-         for i = 0 to nbins - 1 do
-           t.demand.(i) <- t.demand.(i) + d.(i);
-           t.pins.(i) <- t.pins.(i) + p.(i)
-         done)
-      parts
-  end;
   t
 
 let rebuild t =

@@ -35,17 +35,6 @@ val scale : float
     current cell positions. [bin_sites] defaults to {!Grid.make}'s. *)
 val create : ?bin_sites:int -> Design.t -> t
 
-(** [create_par ?bin_sites ~run ~chunks design] builds the same maps as
-    {!create}, splitting the nets into [chunks] contiguous ranges: each
-    range accumulates into a private map pair inside a job handed to
-    [run] (a job executor, e.g. [Scheduler.run_jobs]), and the partial
-    maps are summed in chunk-index order afterwards. Contributions are
-    fixed-point integers, so the result is bit-identical to {!create}
-    for any execution order [run] chooses. *)
-val create_par :
-  ?bin_sites:int -> run:((unit -> unit) list -> unit) -> chunks:int ->
-  Design.t -> t
-
 val grid : t -> Grid.t
 
 val design : t -> Design.t

@@ -3,23 +3,11 @@ open Mcl_netlist
 
 type stats = { legalized : int }
 
-(* Free gaps of [row] for region [reg], with every placed cell as an
-   obstacle. *)
-let row_free design placement segments ~row ~reg =
-  let cuts = ref [] in
-  let arr, len = Placement.row_cells placement row in
-  for i = 0 to len - 1 do
-    let c = design.Design.cells.(arr.(i)) in
-    cuts := Interval.make c.Cell.x (c.Cell.x + Design.width design c) :: !cuts
-  done;
-  Segment.spans segments ~row ~region:reg
-  |> List.concat_map (fun s -> Interval.subtract s !cuts)
-
 let place_one design placement segments target =
   let tgt = design.Design.cells.(target) in
   let h = Design.height design tgt and w = Design.width design tgt in
   let fp = design.Design.floorplan in
-  let reg = Segment.region_of segments tgt in
+  let region = Segment.region_of segments tgt in
   let dy_cost = fp.Floorplan.row_height / fp.Floorplan.site_width in
   let best = ref None in
   let consider ~y0 ~x =
@@ -38,27 +26,14 @@ let place_one design placement segments target =
         | Some (_, _, c) -> abs (y0 - tgt.Cell.gp_y) * dy_cost < c
         | None -> true
       in
-      if beatable then begin
-        let free = ref (row_free design placement segments ~row:y0 ~reg) in
-        for k = 1 to h - 1 do
-          free :=
-            List.concat_map
-              (fun a ->
-                 List.filter_map
-                   (fun b ->
-                      let i = Interval.inter a b in
-                      if Interval.is_empty i then None else Some i)
-                   (row_free design placement segments ~row:(y0 + k) ~reg))
-              !free
-        done;
+      if beatable then
         List.iter
           (fun (g : Interval.t) ->
              if Interval.length g >= w then
                consider ~y0
                  ~x:(Interval.clamp (Interval.make g.Interval.lo (g.Interval.hi - w + 1))
                        tgt.Cell.gp_x))
-          !free
-      end
+          (Mgl.free_gaps design placement segments ~region ~y0 ~h)
     end
   in
   try_row tgt.Cell.gp_y;

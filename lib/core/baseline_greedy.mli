@@ -11,5 +11,7 @@ open Mcl_netlist
 
 type stats = { legalized : int }
 
-(** Raises [Failure] when some cell cannot be placed anywhere. *)
+(** Raises {!Mcl_analysis.Diagnostic.Failed} with
+    [S301-unplaceable-cell] (stage ["greedy"]) when some cell fits in
+    no free gap. *)
 val run : Config.t -> Design.t -> stats

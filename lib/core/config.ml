@@ -11,7 +11,7 @@ type t = {
   delta0_rows : float;
   matching_neighbors : int;
   n0_factor : float;
-  solver : Mcl_flow.Mcf.solver;
+  pivot_rule : Mcl_flow.Network_simplex.pivot_rule;
   run_matching : bool;
   run_row_order : bool;
   threads : int;
@@ -31,7 +31,7 @@ let default =
     delta0_rows = 8.0;
     matching_neighbors = 20;
     n0_factor = 4.0;
-    solver = Mcl_flow.Mcf.Network_simplex_block;
+    pivot_rule = Mcl_flow.Network_simplex.Block_search;
     run_matching = true;
     run_row_order = true;
     threads = 1;

@@ -18,13 +18,14 @@ type t = {
   matching_neighbors : int;     (** candidate positions per cell in Sec. 3.2 *)
   n0_factor : float;            (** weight of max-disp term in Eq. 8, as a
                                     multiple of the mean cell weight *)
-  solver : Mcl_flow.Mcf.solver;
+  pivot_rule : Mcl_flow.Network_simplex.pivot_rule;
+      (** network-simplex pivot rule of the row-order MCF (Sec. 3.3):
+          [Block_search] (the default) or the paper's [First_eligible] *)
   run_matching : bool;          (** enable stage 2 (Sec. 3.2) *)
   run_row_order : bool;         (** enable stage 3 (Sec. 3.3) *)
   threads : int;
       (** domain-pool width for the sharded path's stripe jobs
-          ([shards >= 2]) and the service's dispatch of independent
-          designs; never changes a placement *)
+          ([shards >= 2]); never changes a placement *)
   shards : int;
       (** number of spatial die stripes legalized concurrently; 1 (the
           default) keeps the classic round-batched scheduler, [>= 2]

@@ -28,11 +28,10 @@ let utilization design =
   in
   float_of_int used /. float_of_int (max 1 die_area)
 
-let make_ctx ?(disp_from = `Gp) ?congest ?arena config design ~placement
-    ~segments ~routability =
-  let arena = match arena with Some a -> a | None -> Arena.create () in
+let make_ctx ?(disp_from = `Gp) ?congest config design ~placement ~segments
+    ~routability =
   { design; placement; segments; config; routability; congest; disp_from;
-    utilization = utilization design; arena; log = None;
+    utilization = utilization design; arena = Arena.create (); log = None;
     (* widest cell type, fixed macros included: a cell ending after
        site x starts after x - reach *)
     reach =

@@ -34,13 +34,13 @@ type ctx = {
           the row scans of {!best} and of the exact solver. *)
   arena : Arena.t;
       (** scratch arena for {!best}; single-owner, so contexts that run
-          concurrently (the sharded path's stripe jobs) each get their
-          own through [make_ctx ?arena] *)
+          concurrently (the sharded path's stripe jobs) are record
+          copies that each carry their own *)
   log : Arena.Ibuf.t option;
       (** undo log of the mutation in progress, when the context keeps
           one (the service's resident ECO context, see {!Eco.context});
           [None] for batch flows, which pay one branch per move. Every
-          move made through {!apply}, {!Mgl.fallback_place} or the
+          move made through {!apply}, {!Mgl.place_fallback} or the
           refiner is logged before it happens. *)
 }
 
@@ -49,7 +49,6 @@ val utilization : Design.t -> float
 
 val make_ctx :
   ?disp_from:[ `Gp | `Current ] -> ?congest:Mcl_congest.Congestion.t ->
-  ?arena:Arena.t ->
   Config.t -> Design.t ->
   placement:Placement.t -> segments:Segment.t ->
   routability:Routability.t option -> ctx

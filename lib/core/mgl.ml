@@ -9,35 +9,51 @@ type stats = {
   kernel : Arena.counters;
 }
 
-(* Emergency placement: nearest gap that fits the cell without moving
-   anything else. Only used when windowed insertion failed at the
-   largest window (e.g. a fragmented, nearly-full region). A safety
-   margin of the largest spacing rule is kept on both sides so no edge
-   violation can appear. *)
-let fallback_place ?(relax_routability = false) (ctx : Insertion.ctx) target =
-  let design = ctx.Insertion.design in
-  let placement = ctx.Insertion.placement in
-  let segments = ctx.Insertion.segments in
-  let tgt = design.Design.cells.(target) in
-  let h = Design.height design tgt and w = Design.width design tgt in
-  let fp = design.Design.floorplan in
-  let reg = Segment.region_of segments tgt in
-  let margin =
-    if ctx.Insertion.config.Config.consider_routability then
-      let t = fp.Floorplan.edge_spacing in
-      Array.fold_left (fun acc row -> Array.fold_left max acc row) 0 t
-    else 0
-  in
+(* Free x-intervals of [region] common to the [h] rows from [y0], with
+   every cell of [placement] as an obstacle. *)
+let free_gaps design placement segments ~region ~y0 ~h =
   let row_free row =
     let cuts = ref [] in
     let arr, len = Placement.row_cells placement row in
     for i = 0 to len - 1 do
       let c = design.Design.cells.(arr.(i)) in
-      let cw = Design.width design c in
-      cuts := Interval.make c.Cell.x (c.Cell.x + cw) :: !cuts
+      cuts := Interval.make c.Cell.x (c.Cell.x + Design.width design c) :: !cuts
     done;
-    Segment.spans segments ~row ~region:reg
+    Segment.spans segments ~row ~region
     |> List.concat_map (fun s -> Interval.subtract s !cuts)
+  in
+  let free = ref (row_free y0) in
+  for k = 1 to h - 1 do
+    let next = row_free (y0 + k) in
+    free :=
+      List.concat_map
+        (fun a ->
+           List.filter_map
+             (fun b ->
+                let i = Interval.inter a b in
+                if Interval.is_empty i then None else Some i)
+             next)
+        !free
+  done;
+  !free
+
+(* Emergency placement: nearest gap that fits the cell without moving
+   anything else. Only used when windowed insertion failed at the
+   largest window (e.g. a fragmented, nearly-full region). A safety
+   margin of the largest spacing rule is kept on both sides so no edge
+   violation can appear. *)
+let fallback_place ~relax_routability (ctx : Insertion.ctx) target =
+  let design = ctx.Insertion.design in
+  let placement = ctx.Insertion.placement in
+  let tgt = design.Design.cells.(target) in
+  let h = Design.height design tgt and w = Design.width design tgt in
+  let fp = design.Design.floorplan in
+  let region = Segment.region_of ctx.Insertion.segments tgt in
+  let margin =
+    if ctx.Insertion.config.Config.consider_routability then
+      let t = fp.Floorplan.edge_spacing in
+      Array.fold_left (fun acc row -> Array.fold_left max acc row) 0 t
+    else 0
   in
   let best = ref None in
   let consider ~y0 ~x cost =
@@ -55,20 +71,7 @@ let fallback_place ?(relax_routability = false) (ctx : Insertion.ctx) target =
           | None -> true
           | Some r -> Routability.row_ok r ~type_id:tgt.Cell.type_id ~y:y0)
     in
-    if row_feasible then begin
-      (* intersect the free intervals of the h rows *)
-      let free = ref (row_free y0) in
-      for k = 1 to h - 1 do
-        free :=
-          List.concat_map
-            (fun a ->
-               List.filter_map
-                 (fun b ->
-                    let i = Interval.inter a b in
-                    if Interval.is_empty i then None else Some i)
-                 (row_free (y0 + k)))
-            !free
-      done;
+    if row_feasible then
       List.iter
         (fun (g : Interval.t) ->
            let lo = g.Interval.lo + margin and hi = g.Interval.hi - margin - w in
@@ -91,8 +94,7 @@ let fallback_place ?(relax_routability = false) (ctx : Insertion.ctx) target =
                consider ~y0 ~x (float_of_int cost)
              | None -> ()
            end)
-        !free
-    end
+        (free_gaps design placement ctx.Insertion.segments ~region ~y0 ~h)
   done;
   match !best with
   | Some (y0, x, _) ->
@@ -102,6 +104,20 @@ let fallback_place ?(relax_routability = false) (ctx : Insertion.ctx) target =
     Placement.add placement target;
     true
   | None -> false
+
+(* Routability is a soft constraint (paper Sec. 2): a last-resort
+   placement with pin violations beats failing. *)
+let place_fallback ctx target =
+  if
+    not
+      (fallback_place ~relax_routability:false ctx target
+       || fallback_place ~relax_routability:true ctx target)
+  then
+    Mcl_analysis.Diagnostic.(
+      fail
+        [ error ~code:"S301-unplaceable-cell" ~stage:"mgl" ~loc:(Cell target)
+            "no legal insertion point even at full-die window (region over \
+             capacity?)" ])
 
 let grow_window (w : Rect.t) ~die ~factor =
   let cx = (w.Rect.x.Interval.lo + w.Rect.x.Interval.hi) / 2 in
@@ -125,30 +141,44 @@ let initial_window config design (tgt : Cell.t) ~h ~w ~util =
     (Rect.make ~xl:(tgt.Cell.gp_x - hw) ~yl:(tgt.Cell.gp_y - hh)
        ~xh:(tgt.Cell.gp_x + w + hw) ~yh:(tgt.Cell.gp_y + h + hh))
 
-let legalize_one ?budget ctx ~target ~growths =
+let legalize_one ?budget ctx ~bound ~target ~growths =
   let design = ctx.Insertion.design in
   let config = ctx.Insertion.config in
   let tgt = design.Design.cells.(target) in
   let h = Design.height design tgt and w = Design.width design tgt in
-  let die = Floorplan.die design.Design.floorplan in
+  let w0 =
+    initial_window config design tgt ~h ~w ~util:ctx.Insertion.utilization
+  in
   (* window retries are the natural cancellation boundary: the design
      is consistent between attempts, so a deadline raise here leaves
      nothing half-applied (the transactional caller rolls back the
      cells already re-inserted) *)
-  let rec attempt window tries =
+  let rec attempt ~limit window tries =
     Mcl_resilience.Budget.check budget;
     match Insertion.best ctx ~target ~window with
     | Some cand ->
       Insertion.apply ctx ~target cand;
       true
     | None ->
-      if tries >= config.Config.max_window_tries || Rect.equal window die then false
+      if tries >= config.Config.max_window_tries || Rect.equal window limit
+      then false
       else begin
         incr growths;
-        attempt (grow_window window ~die ~factor:config.Config.window_growth) (tries + 1)
+        attempt ~limit
+          (grow_window window ~die:limit ~factor:config.Config.window_growth)
+          (tries + 1)
       end
   in
-  attempt (initial_window config design tgt ~h ~w ~util:ctx.Insertion.utilization) 0
+  match bound with
+  | `Die ->
+    (* an anchor past the die edge clamps to an empty window; growing
+       it is how such a cell reaches the die *)
+    attempt ~limit:(Floorplan.die design.Design.floorplan) w0 0
+  | `Stripe stripe ->
+    (* a window that misses the stripe leaves the cell to whoever runs
+       the die-bounded search after the stripes *)
+    let w0 = Rect.inter stripe w0 in
+    (not (Rect.is_empty w0)) && attempt ~limit:stripe w0 0
 
 let default_order design =
   let ids =
@@ -178,23 +208,13 @@ let run_with_ctx ?budget ?(greedy = false) ctx ~order =
        (* [greedy] skips the windowed search entirely: first-fit only,
           bounded cost per cell — the degraded-mode answer under
           deadline pressure, so it takes no budget itself *)
-       let ok = (not greedy) && legalize_one ?budget ctx ~target ~growths in
-       let ok =
-         if ok then true
-         else begin
-           incr fallbacks;
-           (* routability is a soft constraint (paper Sec. 2): a last
-              resort placement with pin violations beats failing *)
-           fallback_place ctx target
-           || fallback_place ~relax_routability:true ctx target
-         end
-       in
-       if not ok then
-         Mcl_analysis.Diagnostic.(
-           fail
-             [ error ~code:"S301-unplaceable-cell" ~stage:"mgl" ~loc:(Cell target)
-                 "no legal insertion point even at full-die window (region over \
-                  capacity?)" ]);
+       if
+         greedy
+         || not (legalize_one ?budget ctx ~bound:`Die ~target ~growths)
+       then begin
+         incr fallbacks;
+         place_fallback ctx target
+       end;
        incr legalized)
     order;
   { legalized = !legalized; window_growths = !growths; fallbacks = !fallbacks;

@@ -27,12 +27,14 @@ val run :
   ?disp_from:[ `Gp | `Current ] -> ?budget:Mcl_resilience.Budget.t ->
   Config.t -> Design.t -> stats
 
-(** As {!run}, but reusing an existing context (placement must contain
-    only fixed cells). Exposed for the scheduler and the ECO flow.
-    [greedy] skips the windowed search and places every cell with the
-    emergency first-fit directly — bounded cost per cell, the degraded
-    mode the service answers with under deadline pressure (it
-    therefore ignores [budget]). *)
+(** As {!run}, but reusing an existing context whose placement holds
+    every cell except those in [order]; each cell of [order] goes
+    through {!legalize_one} bounded by the die, then {!place_fallback}.
+    The sequential loop behind {!run}, the ECO flow and the sharded
+    scheduler's boundary pass. [greedy] skips the windowed search and
+    places every cell with {!place_fallback} directly — bounded cost
+    per cell, the degraded mode the service answers with under
+    deadline pressure (it therefore ignores [budget]). *)
 val run_with_ctx :
   ?budget:Mcl_resilience.Budget.t -> ?greedy:bool -> Insertion.ctx ->
   order:int array -> stats
@@ -42,8 +44,9 @@ val run_with_ctx :
     with {!boundary_gap} and the config's fence setting, routability
     tables when [config.consider_routability], over [placement] (which
     the context then owns and keeps current). {!run} passes the fixed
-    cells only, the refiner and the ECO flow every cell. [congest] is
-    the soft-penalty prior (see {!congest_map}). *)
+    cells only, the refiner and the ECO flow every cell; the sharded
+    scheduler copies the record with a placement per stripe.
+    [congest] is the soft-penalty prior (see {!congest_map}). *)
 val context :
   ?disp_from:[ `Gp | `Current ] -> ?congest:Mcl_congest.Congestion.t ->
   Config.t -> Design.t -> placement:Placement.t -> Insertion.ctx
@@ -69,19 +72,37 @@ val initial_window :
 val grow_window :
   Mcl_geom.Rect.t -> die:Mcl_geom.Rect.t -> factor:int -> Mcl_geom.Rect.t
 
-(** Emergency first-fit placement (see implementation notes); exposed
-    for the scheduler. *)
-val fallback_place : ?relax_routability:bool -> Insertion.ctx -> int -> bool
-
-(** [legalize_one ctx ~target ~growths] runs the windowed insertion
-    search for one cell (initial window, growth retries up to the full
-    die), applying the winning candidate; [false] when even the
-    full-die window has no feasible insertion point (callers fall back
-    to {!fallback_place}). [growths] accumulates window enlargements.
-    Exposed for the sharded scheduler's boundary-reconciliation pass. *)
+(** [legalize_one ctx ~bound ~target ~growths] is the windowed
+    insertion search for one unplaced cell: the initial window, then
+    growth retries up to [max_window_tries], applying the winning
+    candidate. [`Die] bounds the windows by the die; an anchor past
+    the die edge starts from an empty window and grows onto the die.
+    [`Stripe r] bounds them by [r] (the sharded scheduler's stripe
+    jobs) and gives up at once when the initial window misses [r].
+    [false] when no window up to the bound has a feasible insertion
+    point. [growths] accumulates window enlargements; [budget] is
+    polled at every attempt. *)
 val legalize_one :
-  ?budget:Mcl_resilience.Budget.t -> Insertion.ctx -> target:int ->
+  ?budget:Mcl_resilience.Budget.t -> Insertion.ctx ->
+  bound:[ `Die | `Stripe of Mcl_geom.Rect.t ] -> target:int ->
   growths:int ref -> bool
+
+(** [place_fallback ctx target] is the last resort after
+    {!legalize_one}: the nearest existing gap that fits the cell
+    without moving anything (a margin of the largest spacing rule on
+    both sides), first at a pin-access-clean x, then ignoring pin
+    access, since routability is a soft constraint. Raises
+    {!Mcl_analysis.Diagnostic.Failed} with [S301-unplaceable-cell]
+    (stage ["mgl"]) when no gap fits. Logs the move. *)
+val place_fallback : Insertion.ctx -> int -> unit
+
+(** [free_gaps design placement segments ~region ~y0 ~h] is the list of
+    x-intervals of [region] free in every one of the [h] rows from
+    [y0], with each cell of [placement] as an obstacle. The gap scan
+    of {!place_fallback} and of {!Baseline_greedy}. *)
+val free_gaps :
+  Design.t -> Placement.t -> Segment.t -> region:int -> y0:int -> h:int ->
+  Mcl_geom.Interval.t list
 
 (** Congestion prior for the soft insertion penalty: [Some] (built
     from the design's current positions) iff

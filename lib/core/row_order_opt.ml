@@ -1,6 +1,6 @@
 module Interval = Mcl_geom.Interval
 module Graph = Mcl_flow.Graph
-module Mcf = Mcl_flow.Mcf
+module Ns = Mcl_flow.Network_simplex
 open Mcl_netlist
 
 type stats = {
@@ -197,7 +197,7 @@ let build_and_solve ?budget config design =
      a deadline raise mid-solve abandons the network untouched and the
      placement stays exactly as it was *)
   let on_pivot () = Budget.check budget in
-  let result = Mcf.solve ~solver:config.Config.solver ~on_pivot g in
+  let result = Ns.solve ~pivot:config.Config.pivot_rule ~on_pivot g in
   (g, vz, pcs, result)
 
 let objective config design =
@@ -235,30 +235,24 @@ let run ?budget config design =
   let before = objective config design in
   let snapshot = Design.snapshot design in
   let g, vz, pcs, result = build_and_solve ?budget config design in
-  (match result.Mcf.status with
-   | `Infeasible ->
+  (match result.Ns.status with
+   | Ns.Infeasible ->
      (* circulations are always feasible; this cannot happen *)
      Mcl_analysis.Diagnostic.(
        fail
          [ error ~code:"N203-infeasible-circulation" ~stage:"row-order"
              "solver reported an infeasible circulation" ])
-   | `Optimal -> ());
-  (match result.Mcf.potential with
-   | None ->
-     Mcl_analysis.Diagnostic.(
-       fail
-         [ error ~code:"N204-missing-potentials" ~stage:"row-order"
-             "solver returned no node potentials; cannot recover the dual" ])
-   | Some pot ->
-     let pz = pot.(vz) in
-     Array.iter
-       (fun pc ->
-          let x = pz - pot.(pc.node) in
-          (* potentials of an optimal dual are feasible by construction;
-             clamp defensively against any numeric edge *)
-          let x = max pc.lo (min pc.hi x) in
-          pc.cell.Cell.x <- x)
-       pcs);
+   | Ns.Optimal -> ());
+  let pot = result.Ns.potential in
+  let pz = pot.(vz) in
+  Array.iter
+    (fun pc ->
+       let x = pz - pot.(pc.node) in
+       (* potentials of an optimal dual are feasible by construction;
+          clamp defensively against any numeric edge *)
+       let x = max pc.lo (min pc.hi x) in
+       pc.cell.Cell.x <- x)
+    pcs;
   (* The recovered dual is optimal and feasible by LP duality, but a
      broken solve must never corrupt a legal placement: verify and roll
      back if anything is off. *)
@@ -274,4 +268,4 @@ let run ?budget config design =
     arcs = Graph.num_arcs g;
     weighted_disp_before = before;
     weighted_disp_after = after;
-    mcf_objective = result.Mcf.total_cost }
+    mcf_objective = result.Ns.total_cost }

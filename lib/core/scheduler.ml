@@ -24,8 +24,7 @@ type pending = {
   mutable tries : int;
 }
 
-(* Shared-queue domain pool: runs the sharded path's stripe jobs and
-   the service engine's dispatch of independent designs. *)
+(* Shared-queue domain pool: runs the sharded path's stripe jobs. *)
 let run_jobs ~threads jobs =
   match jobs with
   | [] -> ()
@@ -118,17 +117,7 @@ let run_batched ~disp_from ?budget config design =
            if p.tries >= config.Config.max_window_tries || Rect.equal p.window die
            then begin
              incr fallbacks;
-             let ok =
-               Mgl.fallback_place ctx p.cell
-               || Mgl.fallback_place ~relax_routability:true ctx p.cell
-             in
-             if not ok then
-               Mcl_analysis.Diagnostic.(
-                 fail
-                   [ error ~code:"S301-unplaceable-cell" ~stage:"mgl"
-                       ~loc:(Cell p.cell)
-                       "no legal insertion point even at full-die window \
-                        (region over capacity?)" ]);
+             Mgl.place_fallback ctx p.cell;
              incr legalized
            end
            else begin
@@ -150,67 +139,16 @@ let run_batched ~disp_from ?budget config design =
 (* boundary-reconciliation pass over the merged occupancy             *)
 (* ---------------------------------------------------------------- *)
 
-(* Windowed insertion restricted to one stripe: the window never
-   leaves the stripe (so concurrent stripes touch disjoint cells and
-   sites), and exhaustion defers to the boundary pass instead of
-   falling back — the emergency fallback scans whole rows, which would
-   escape the stripe. *)
-let legalize_interior ?budget ctx ~stripe ~target ~growths =
-  let design = ctx.Insertion.design in
-  let config = ctx.Insertion.config in
-  let tgt = design.Design.cells.(target) in
-  let h = Design.height design tgt and w = Design.width design tgt in
-  let w0 =
-    Rect.inter stripe
-      (Mgl.initial_window config design tgt ~h ~w
-         ~util:ctx.Insertion.utilization)
-  in
-  if Rect.is_empty w0 then false
-  else begin
-    let rec attempt window tries =
-      Mcl_resilience.Budget.check budget;
-      match Insertion.best ctx ~target ~window with
-      | Some cand ->
-        Insertion.apply ctx ~target cand;
-        true
-      | None ->
-        if tries >= config.Config.max_window_tries || Rect.equal window stripe
-        then false
-        else begin
-          incr growths;
-          attempt
-            (Mgl.grow_window window ~die:stripe
-               ~factor:config.Config.window_growth)
-            (tries + 1)
-        end
-    in
-    attempt w0 0
-  end
-
 let run_sharded ~disp_from ?budget ?shard_margin config design =
   let threads = max 1 config.Config.threads in
   let plan = Shard.plan ?margin:shard_margin ~shards:config.Config.shards design in
   let shards = plan.Shard.shards in
-  let segments =
-    Segment.build ~boundary_gap:(Mgl.boundary_gap config design)
-      ~respect_fences:config.Config.consider_fences design
+  (* one context for the run; the boundary pass swaps in the merged
+     occupancy *)
+  let ctx =
+    Mgl.context ~disp_from ?congest:(Mgl.congest_map config design) config
+      design ~placement:(Placement.create design)
   in
-  let routability =
-    if config.Config.consider_routability then Some (Routability.create design)
-    else None
-  in
-  (* congestion prior: built in parallel over net chunks; the chunked
-     build is bit-identical to the sequential one (integer fixed-point
-     contributions sum associatively) *)
-  let congest =
-    if config.Config.congestion_weight > 0.0 then
-      Some
-        (Mcl_congest.Congestion.create_par
-           ~bin_sites:config.Config.congestion_bin_sites
-           ~run:(run_jobs ~threads) ~chunks:shards design)
-    else None
-  in
-  let util = Insertion.utilization design in
   let order = Mgl.default_order design in
   (* classification is per-cell pure (geometry only), so the resulting
      ownership never depends on processing order *)
@@ -220,7 +158,8 @@ let run_sharded ~disp_from ?budget ?shard_margin config design =
   Array.iter
     (fun id ->
        match
-         Shard.classify plan config design ~util design.Design.cells.(id)
+         Shard.classify plan config design ~util:ctx.Insertion.utilization
+           design.Design.cells.(id)
        with
        | Shard.Interior k -> assign.(id) <- k
        | Shard.Boundary ->
@@ -234,79 +173,67 @@ let run_sharded ~disp_from ?budget ?shard_margin config design =
         Array.iter (fun id -> if assign.(id) = k then ids := id :: !ids) order;
         Array.of_list (List.rev !ids))
   in
-  (* single-owner state per stripe: placement, scratch arena, counters.
-     Fixed cells are obstacles everywhere, so each stripe registers all
-     of them. *)
-  let placements = Array.init shards (fun _ -> Mgl.fixed_placement design) in
-  let arenas = Array.init shards (fun _ -> Arena.create ()) in
+  (* single-owner state per stripe: a copy of the context with its own
+     placement and scratch arena (segments, routability tables and the
+     congestion prior are read-only, so the stripes share them). Fixed
+     cells are obstacles everywhere, so each stripe registers all of
+     them. Windows never leave the stripe, so concurrent stripes touch
+     disjoint cells and sites, and a cell that exhausts its stripe is
+     left for the boundary pass instead of falling back: the fallback
+     scans whole rows, which would escape the stripe. *)
+  let stripe_ctx =
+    Array.init shards (fun _ ->
+        { ctx with
+          Insertion.placement = Mgl.fixed_placement design;
+          arena = Arena.create () })
+  in
   let growths = Array.make shards 0 in
   let placed = Array.make shards 0 in
-  let jobs =
-    List.init shards (fun k () ->
-        let ctx =
-          Insertion.make_ctx ~disp_from ?congest ~arena:arenas.(k) config
-            design ~placement:placements.(k) ~segments ~routability
-        in
-        let stripe = plan.Shard.stripes.(k) in
-        let g = ref 0 in
-        Array.iter
-          (fun target ->
-             if legalize_interior ?budget ctx ~stripe ~target ~growths:g then
-               placed.(k) <- placed.(k) + 1)
-          shard_order.(k);
-        growths.(k) <- !g)
-  in
-  run_jobs ~threads jobs;
+  run_jobs ~threads
+    (List.init shards (fun k () ->
+         let bound = `Stripe plan.Shard.stripes.(k) in
+         let g = ref 0 in
+         Array.iter
+           (fun target ->
+              if Mgl.legalize_one ?budget stripe_ctx.(k) ~bound ~target ~growths:g
+              then placed.(k) <- placed.(k) + 1)
+           shard_order.(k);
+         growths.(k) <- !g));
   (* boundary reconciliation: merge the per-stripe occupancies and run
-     the ordinary sequential search (full-die growth + fallback) over
+     the ordinary sequential loop (die-bounded growth + fallback) over
      every cell not yet placed — the boundary zone plus any interior
      cell that exhausted its stripe. Sequential and in global order,
      so the result is independent of how the stripe jobs interleaved. *)
-  let merged = Placement.merge design placements in
-  let bctx =
-    Insertion.make_ctx ~disp_from ?congest config design ~placement:merged
-      ~segments ~routability
+  let merged =
+    Placement.merge design
+      (Array.map (fun c -> c.Insertion.placement) stripe_ctx)
   in
-  let b_growths = ref 0 and fallbacks = ref 0 and b_placed = ref 0 in
-  Array.iter
-    (fun target ->
-       if not (Placement.mem merged target) then begin
-         let ok = Mgl.legalize_one ?budget bctx ~target ~growths:b_growths in
-         let ok =
-           if ok then true
-           else begin
-             incr fallbacks;
-             Mgl.fallback_place bctx target
-             || Mgl.fallback_place ~relax_routability:true bctx target
-           end
-         in
-         if not ok then
-           Mcl_analysis.Diagnostic.(
-             fail
-               [ error ~code:"S301-unplaceable-cell" ~stage:"mgl"
-                   ~loc:(Cell target)
-                   "no legal insertion point even at full-die window (region \
-                    over capacity?)" ]);
-         incr b_placed
-       end)
-    order;
+  let rest =
+    Array.of_list
+      (List.filter
+         (fun id -> not (Placement.mem merged id))
+         (Array.to_list order))
+  in
+  let b =
+    Mgl.run_with_ctx ?budget { ctx with Insertion.placement = merged }
+      ~order:rest
+  in
   (* counters merge in shard-index order (never completion order), then
-     the boundary arena: stats stay byte-stable across thread counts *)
-  let kernel = ref (Arena.counters arenas.(0)) in
-  for k = 1 to shards - 1 do
-    kernel := Arena.merge !kernel (Arena.counters arenas.(k))
-  done;
-  kernel := Arena.merge !kernel (Arena.counters bctx.Insertion.arena);
+     the boundary pass: stats stay byte-stable across thread counts *)
+  let kernel =
+    Array.fold_left
+      (fun acc c -> Arena.merge acc (Arena.counters c.Insertion.arena))
+      Arena.zero_counters stripe_ctx
+  in
   let interior_legalized = Array.fold_left ( + ) 0 placed in
   let interior_assigned =
     Array.fold_left (fun acc o -> acc + Array.length o) 0 shard_order
   in
-  let growths_total = Array.fold_left ( + ) 0 growths + !b_growths in
-  { legalized = interior_legalized + !b_placed;
-    rounds = 1 + (if !b_placed > 0 then 1 else 0);
-    window_growths = growths_total;
-    fallbacks = !fallbacks;
-    kernel = !kernel;
+  { legalized = interior_legalized + b.Mgl.legalized;
+    rounds = 1 + (if b.Mgl.legalized > 0 then 1 else 0);
+    window_growths = Array.fold_left ( + ) 0 growths + b.Mgl.window_growths;
+    fallbacks = b.Mgl.fallbacks;
+    kernel = Arena.merge kernel b.Mgl.kernel;
     sharding =
       Some
         { shard_count = shards;

@@ -12,22 +12,24 @@
     and then applied in order. Because the windows are disjoint, the
     computed candidates touch disjoint cell sets and the result is
     identical to processing the batch sequentially — determinism
-    follows by construction, as the paper argues. This path runs on
-    the calling domain, so [config.threads] has no effect here
-    (DESIGN.md §16 gives the measurements behind that choice).
+    follows by construction, as the paper argues. A cell whose last
+    window fails goes to {!Mgl.place_fallback}. This path runs on the
+    calling domain, so [config.threads] has no effect here (DESIGN.md
+    §16 gives the measurements behind that choice).
 
     {b Spatially sharded} ([shards >= 2]). The die is split into
     contiguous column stripes at seams fixed by die geometry and fence
     positions (see {!Shard}), never by cell order. Every movable cell
     is classified interior-to-one-stripe or boundary; interior cells of
     all stripes are legalized concurrently as coarse jobs — one
-    stripe per job, each with its own {!Placement} and {!Arena}, with
-    insertion windows clamped to the stripe — then the per-stripe
-    occupancies are merged and a sequential boundary pass legalizes the
-    rest in global order. Stripe jobs touch disjoint cells and sites,
-    and the boundary pass is sequential, so the output depends on
-    [config.shards] (seam geometry) but never on [config.threads],
-    which only sizes the domain pool the stripe jobs run on. *)
+    stripe per job, each on a copy of the run's {!Insertion.ctx} with
+    its own {!Placement} and {!Arena}, running {!Mgl.legalize_one}
+    bounded by the stripe — then the per-stripe occupancies are merged
+    and {!Mgl.run_with_ctx} legalizes the rest in global order.
+    Stripe jobs touch disjoint cells and sites, and the boundary pass
+    is sequential, so the output depends on [config.shards] (seam
+    geometry) but never on [config.threads], which only sizes the
+    domain pool the stripe jobs run on. *)
 
 open Mcl_netlist
 
@@ -70,12 +72,10 @@ val run :
     on [min threads (length jobs)] domains; with [threads <= 1] (or a
     single job) everything runs inline on the calling domain, in list
     order. This is the domain pool behind the sharded path's stripe
-    jobs, exposed so the ECO service engine can fan independent-design
-    work across the same mechanism.
+    jobs.
 
     Jobs must not touch shared mutable state without their own
     synchronization. A job that raises kills its worker after the
     current job; the first such exception is re-raised from [run_jobs]
-    after all domains are joined, so callers that must not die (the
-    service) should catch inside the job. *)
+    after all domains are joined. *)
 val run_jobs : threads:int -> (unit -> unit) list -> unit

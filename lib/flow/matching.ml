@@ -19,13 +19,15 @@ let solve ~n ~edges =
               ~cost:e.edge_cost))
         edges
     in
-    let r = Mcf.solve g in
-    match r.Mcf.status with
-    | `Infeasible -> Error "no perfect matching within candidate edges"
-    | `Optimal ->
+    let r = Network_simplex.solve g in
+    match r.Network_simplex.status with
+    | Network_simplex.Infeasible ->
+      Error "no perfect matching within candidate edges"
+    | Network_simplex.Optimal ->
       let mate = Array.make n (-1) in
       List.iter
-        (fun (e, a) -> if r.Mcf.flow.(a) > 0 then mate.(e.left) <- e.right)
+        (fun (e, a) ->
+           if r.Network_simplex.flow.(a) > 0 then mate.(e.left) <- e.right)
         edge_arcs;
       if Array.exists (fun x -> x < 0) mate then
         Error "incomplete matching (internal error)"

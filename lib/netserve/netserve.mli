@@ -27,10 +27,8 @@
     connection cannot starve a quiet one, and given one arrival trace
     the interleaving — and therefore the WAL record order and the
     final placement state — is deterministic. Within a batch the
-    engine's planner still serializes same-design requests in arrival
-    order and fans independent designs across the engine's domain pool
-    ([Config.threads] wide), so per-design ordering is preserved while
-    unrelated designs execute concurrently.
+    engine's planner keeps same-design requests in arrival order, so
+    each design observes its own requests in the order they came.
 
     {b Durability} is group commit through
     {!Mcl_service.Server.execute_and_journal}: the whole batch's

@@ -21,9 +21,9 @@
     - [Conn_reset]: the writer raises [EPIPE] as if the peer vanished;
     - [Stage_fail s]: the engine forces a [Diagnostic.Failed] at the
       named pipeline stage ("mgl", "matching", "row-order", "eco");
-    - [Worker_death]: a dispatched worker domain dies before running
-      its group (the engine must answer the group with errors and keep
-      serving);
+    - [Worker_death]: the worker of a design group dies before
+      running it (the engine must answer the group with errors and
+      keep serving);
     - [Clock_skew]: the engine's clock jumps forward by 1–6 s at a
       firing (surfaces as spurious deadline pressure and skewed
       metrics, never as corruption);
@@ -78,7 +78,7 @@ val conn_reset : t option -> bool
 (** True when the named stage must fail now. *)
 val stage_fail : t option -> stage:string -> bool
 
-(** True when the next dispatched worker job must die. *)
+(** True when the next design group's worker must die. *)
 val worker_death : t option -> bool
 
 (** [bit_flip t n] is [Some offset] (with [0 <= offset < n]) when the

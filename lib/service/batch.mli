@@ -5,7 +5,7 @@
     alone, on the control thread, at their position in the batch;
     maximal runs of per-design requests between them are grouped by
     design key, and the groups of one segment are independent — the
-    engine dispatches them across the domain pool. Within a group the
+    engine runs them one after another. Within a group the
     original request order is preserved, so "eco then query" on one
     design always observes the mutation.
 

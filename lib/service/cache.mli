@@ -18,9 +18,8 @@
     nothing is ever evicted — the conservative default.
 
     Mutating entries is only safe under the engine's batch discipline:
-    within one batch segment each design is owned by exactly one
-    worker, and loads happen between segments on the control thread
-    (see {!Batch}). The table itself is mutex-protected so [stats]
+    a batch segment runs its design groups one at a time, and loads
+    happen between segments (see {!Batch}). The table itself is mutex-protected so [stats]
     snapshots can run concurrently with lookups. *)
 
 open Mcl_netlist

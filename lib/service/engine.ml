@@ -817,11 +817,9 @@ let exec_group t (key, group) =
          in
          replayed @ executed)
 
-(* Injected worker-domain death: the group's job never runs, its
-   design is untouched, and every member answers a structured error —
-   the contract a real domain crash must also satisfy. Decided on the
-   control thread so the fault stream stays deterministic regardless
-   of dispatch interleaving. *)
+(* Injected worker death: the group never runs, its design is
+   untouched, and every member answers a structured error — the
+   contract a real worker crash must also satisfy. *)
 let worker_death_responses group =
   List.map
     (fun (i, req) ->
@@ -886,7 +884,6 @@ let exec_global t (i, req) =
   [ (i, resp) ]
 
 let execute t requests =
-  let threads = max 1 t.config.Mcl.Config.threads in
   Telemetry.add t.telemetry Batches 1;
   Telemetry.keep_max t.telemetry Max_batch (Array.length requests);
   let responses = Array.make (Array.length requests) None in
@@ -901,37 +898,13 @@ let execute t requests =
     (function
       | Batch.Global g -> file (exec_global t g)
       | Batch.Groups groups ->
-        (* worker-death fates are drawn here, on the control thread,
-           one per dispatched group — never from inside a domain *)
+        (* worker-death fates are drawn up front, one per group, so the
+           fault stream does not depend on what the groups execute *)
         let doomed = List.map (fun _ -> Fault.worker_death t.faults) groups in
-        if threads <= 1 || List.length groups <= 1 then
-          List.iter2
-            (fun g dead ->
-               file (if dead then worker_death_responses g else exec_group t g))
-            groups doomed
-        else begin
-          (* independent designs: fan across the scheduler's domain
-             pool; each job only touches its own design and its own
-             response slots (telemetry/cache guard themselves) *)
-          let results = Array.make (List.length groups) [] in
-          let doomed = Array.of_list doomed in
-          Mcl.Scheduler.run_jobs ~threads
-            (List.mapi
-               (fun gi g () ->
-                  results.(gi) <-
-                    (if doomed.(gi) then worker_death_responses g
-                     else
-                       try exec_group t g
-                       with exn ->
-                         List.map
-                           (fun (i, req) ->
-                              ( i,
-                                error_of_exn ~id:req.Protocol.id
-                                  ~op:(Protocol.op_name req.Protocol.op) exn ))
-                           (snd g)))
-               groups);
-          Array.iter file results
-        end)
+        List.iter2
+          (fun g dead ->
+             file (if dead then worker_death_responses g else exec_group t g))
+          groups doomed)
     (Batch.plan requests);
   Array.mapi
     (fun i resp ->

@@ -4,10 +4,8 @@
     logic for one batch of requests:
 
     - the batch is planned into segments ({!Batch.plan}); global
-      requests run on the control thread, per-design groups of a
-      segment are dispatched across {!Mcl.Scheduler.run_jobs} domains
-      ([config.threads] wide), so requests against independent designs
-      overlap;
+      requests and the per-design groups of a segment all run in batch
+      order on the control thread;
     - within a design group, maximal runs of adjacent [eco] requests
       coalesce into a single {!Mcl.Eco.relegalize} call (one segment
       rebuild instead of [n]); each request still gets its own
@@ -36,8 +34,9 @@
       [response.wal] for the server to journal before answering;
     - an armed {!Mcl_resilience.Fault} plan drives stage failures
       ([S390-injected-fault] at "mgl"/"matching"/"row-order"/"eco"),
-      worker-domain deaths ([S310-worker-death], decided on the
-      control thread, the group's design untouched), and clock skew
+      worker deaths ([S310-worker-death], one fate drawn per design
+      group before any group runs, the group's design untouched), and
+      clock skew
       (all engine timing goes through {!Mcl_resilience.Fault.now}).
 
     Exactly-once semantics: a mutating request carrying a ["req_id"]
@@ -54,9 +53,9 @@
 type t
 
 (** [create ?max_designs ?faults ~config ()] — [config] is the base
-    legalization config used by [legalize] and [eco], and its [threads]
-    also sizes the dispatch pool (1 = everything on the control
-    thread); [max_designs] bounds the design cache with LRU eviction
+    legalization config used by [legalize] and [eco] (its [threads]
+    only sizes the stripe pool of a sharded [legalize]);
+    [max_designs] bounds the design cache with LRU eviction
     (default: unbounded, see {!Cache}); [faults] arms a fault-injection
     plan (default: none, all hooks free). Each design's idempotency
     window holds its last 64 acknowledged [req_id]s. *)

@@ -2,8 +2,7 @@
    [lo * ratio^i, lo * ratio^(i+1)) with 20 buckets per decade
    (ratio = 10^(1/20) ≈ 1.122), so any reported quantile is within
    ~6% of the true sample value — plenty for latency percentiles —
-   while the whole histogram is one small int array that merges by
-   element-wise addition. *)
+   while the whole histogram is one small int array. *)
 
 let lo = 1e-9
 let buckets_per_decade = 20
@@ -63,20 +62,6 @@ let mean t = if t.n = 0 then 0.0 else t.sum /. Float.of_int t.n
 let min_value t = if t.n = 0 then 0.0 else t.min_v
 
 let max_value t = if t.n = 0 then 0.0 else t.max_v
-
-let merge_into ~into src =
-  Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) src.counts;
-  into.n <- into.n + src.n;
-  into.sum <- into.sum +. src.sum;
-  if Float.compare src.min_v into.min_v < 0 then into.min_v <- src.min_v;
-  if Float.compare src.max_v into.max_v > 0 then into.max_v <- src.max_v
-
-let clear t =
-  Array.fill t.counts 0 nbuckets 0;
-  t.n <- 0;
-  t.sum <- 0.0;
-  t.min_v <- Float.infinity;
-  t.max_v <- Float.neg_infinity
 
 (* Quantile by cumulative walk; the answer is the geometric midpoint of
    the bucket where the cumulative count crosses [q * n], clamped to

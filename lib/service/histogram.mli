@@ -2,14 +2,13 @@
 
     Fixed geometric buckets spanning 1 ns – 1000 s, 20 per decade, so
     quantile estimates are within ~6% of the true sample value while
-    the whole structure is one small int array: O(1) insert, O(buckets)
-    merge and quantile, no per-sample allocation — the same histogram
-    serves the [stats] op under load and the service_load bench.
+    the whole structure is one small int array: O(1) insert,
+    O(buckets) quantile, no per-sample allocation — what the [stats]
+    op reports its latency percentiles from.
 
     Values are in seconds (any non-negative unit works; NaN and
     negatives clamp to the lowest bucket). Not thread-safe: callers
-    synchronize (Telemetry holds its histograms under its lock) or
-    keep one per worker and {!merge_into} at the end. *)
+    synchronize (Telemetry holds its histograms under its lock). *)
 
 type t
 
@@ -19,12 +18,6 @@ val create : unit -> t
     samples beyond the 1000 s range clamp to the top bucket — a bad
     clock read can skew a tail percentile but never poison the sums. *)
 val add : t -> float -> unit
-
-(** [merge_into ~into src] element-wise adds [src] into [into];
-    [src] is unchanged. *)
-val merge_into : into:t -> t -> unit
-
-val clear : t -> unit
 
 val count : t -> int
 

@@ -3,8 +3,8 @@
     One keyed registry of integer counters, each either summed
     ({!add}) or a running maximum ({!keep_max}), next to the
     per-request accounting of {!record}, the live connections gauge and
-    the corruption latch. Every operation is thread-safe under one lock
-    (engine workers run on separate domains). *)
+    the corruption latch. Every operation is thread-safe under one
+    lock. *)
 
 type t
 

@@ -81,7 +81,7 @@ let test_fig5_toy_mcf () =
    makes the result illegal and the solver agrees across pivot rules. *)
 let test_fig5_solver_agreement () =
   List.iter
-    (fun solver ->
+    (fun pivot_rule ->
        let fp = Floorplan.make ~num_sites:30 ~num_rows:2 ~site_width:2 ~row_height:20 () in
        let types = [| Cell_type.make ~type_id:0 ~name:"s" ~width:4 ~height:1 () |] in
        let cells =
@@ -92,7 +92,8 @@ let test_fig5_solver_agreement () =
        in
        let d = Design.make ~name:"agree" ~floorplan:fp ~cell_types:types ~cells () in
        let cfg =
-         { Mcl.Config.total_displacement with Mcl.Config.solver = solver; n0_factor = 0.0 }
+         { Mcl.Config.total_displacement with
+           Mcl.Config.pivot_rule; n0_factor = 0.0 }
        in
        let s = Mcl.Row_order_opt.run cfg d in
        Alcotest.(check bool)
@@ -104,7 +105,8 @@ let test_fig5_solver_agreement () =
           disp 0+1+2+3+4 = 10 (x16 weight) *)
        Alcotest.(check (float 1e-9)) "objective" 160.0
          s.Mcl.Row_order_opt.weighted_disp_after)
-    [ Mcl_flow.Mcf.Network_simplex_block; Mcl_flow.Mcf.Network_simplex_first ]
+    [ Mcl_flow.Network_simplex.Block_search;
+      Mcl_flow.Network_simplex.First_eligible ]
 
 let () =
   Alcotest.run "figures"

@@ -1,7 +1,6 @@
 module Graph = Mcl_flow.Graph
 module Ns = Mcl_flow.Network_simplex
 module Ssp = Mcl_flow.Ssp
-module Mcf = Mcl_flow.Mcf
 module Matching = Mcl_flow.Matching
 
 (* ---------- hand-built instances ---------- *)
@@ -310,18 +309,6 @@ let prop_matching_optimal =
        | Error _, None -> true
        | _ -> false)
 
-let test_mcf_facade () =
-  let g = Graph.create () in
-  let s = Graph.add_node g ~supply:1 in
-  let t = Graph.add_node g ~supply:(-1) in
-  ignore (Graph.add_arc g ~src:s ~dst:t ~cap:1 ~cost:7);
-  List.iter
-    (fun solver ->
-       let r = Mcf.solve ~solver g in
-       Alcotest.(check bool) "optimal" true (r.Mcf.status = `Optimal);
-       Alcotest.(check int) "cost" 7 r.Mcf.total_cost)
-    [ Mcf.Network_simplex_block; Mcf.Network_simplex_first; Mcf.Ssp ]
-
 let () =
   Alcotest.run "flow"
     [ ("mcf-hand",
@@ -329,8 +316,7 @@ let () =
          Alcotest.test_case "negative circulation" `Quick test_negative_circulation;
          Alcotest.test_case "infeasible" `Quick test_infeasible;
          Alcotest.test_case "pivot rules agree" `Quick test_first_eligible_agrees;
-         Alcotest.test_case "zero capacity" `Quick test_zero_capacity_arcs;
-         Alcotest.test_case "facade" `Quick test_mcf_facade ]);
+         Alcotest.test_case "zero capacity" `Quick test_zero_capacity_arcs ]);
       ("mcf-props",
        [ QCheck_alcotest.to_alcotest prop_ns_matches_brute_force;
          QCheck_alcotest.to_alcotest prop_ns_matches_ssp;

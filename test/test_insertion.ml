@@ -241,10 +241,9 @@ let lockstep_equiv ~disp_from cfg d =
                    (Mcl.Mgl.grow_window window ~die
                       ~factor:cfg.Mcl.Config.window_growth)
                    (tries + 1)
-               else
-                 ignore
-                   (Mcl.Mgl.fallback_place ctx target
-                    || Mcl.Mgl.fallback_place ~relax_routability:true ctx target)
+               else (
+                 try Mcl.Mgl.place_fallback ctx target
+                 with Mcl_analysis.Diagnostic.Failed _ -> ())
          in
          attempt
            (Mcl.Mgl.initial_window cfg d tgt ~h ~w

@@ -196,6 +196,124 @@ let positions_digest (d : Design.t) =
     d.Design.cells;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+let pin name expected actual = Alcotest.(check string) name expected actual
+
+let kernel_line (k : Mcl.Arena.counters) =
+  Printf.sprintf "k=%d/%d/%d" k.Mcl.Arena.windows_built
+    k.Mcl.Arena.cuts_evaluated k.Mcl.Arena.cuts_pruned
+
+let scheduler_line (s : Mcl.Scheduler.stats) =
+  Printf.sprintf "legalized=%d rounds=%d growths=%d fallbacks=%d %s shard=%s"
+    s.Mcl.Scheduler.legalized s.Mcl.Scheduler.rounds
+    s.Mcl.Scheduler.window_growths s.Mcl.Scheduler.fallbacks
+    (kernel_line s.Mcl.Scheduler.kernel)
+    (match s.Mcl.Scheduler.sharding with
+     | None -> "-"
+     | Some i ->
+       Printf.sprintf "%d/%d/%d/%d/%d" i.Mcl.Scheduler.shard_count
+         i.Mcl.Scheduler.seam_margin i.Mcl.Scheduler.interior_legalized
+         i.Mcl.Scheduler.boundary_zone i.Mcl.Scheduler.deferred)
+
+let mgl_line (s : Mcl.Mgl.stats) =
+  Printf.sprintf "legalized=%d growths=%d fallbacks=%d %s" s.Mcl.Mgl.legalized
+    s.Mcl.Mgl.window_growths s.Mcl.Mgl.fallbacks (kernel_line s.Mcl.Mgl.kernel)
+
+(* Move 11 GP anchors past the die edge (lint's G102): the windowed
+   search must grow from the empty die-clamped window, not give up. *)
+let anchors_off_die (d : Design.t) =
+  let fp = d.Design.floorplan in
+  let movable =
+    Array.of_list
+      (List.filter
+         (fun i -> not d.Design.cells.(i).Cell.is_fixed)
+         (List.init (Design.num_cells d) Fun.id))
+  in
+  List.iteri
+    (fun k side ->
+       let c = d.Design.cells.(movable.((k * 104729 + 13) mod Array.length movable)) in
+       match side with
+       | `Right -> c.Cell.gp_x <- fp.Floorplan.num_sites + 3 + k
+       | `Top -> c.Cell.gp_y <- fp.Floorplan.num_rows + 1 + k
+       | `Left -> c.Cell.gp_x <- -20 - k)
+    [ `Right; `Right; `Right; `Top; `Top; `Left; `Left; `Top; `Right; `Top; `Left ];
+  d
+
+(* Every MGL driver, pinned by positions and stats: the sharded
+   scheduler's stripe and boundary passes (with and without the
+   congestion prior), the greedy baseline's gap scan, a dense design
+   whose run takes fallbacks, and anchors past the die edge. *)
+let test_driver_digests ~roster ~tiled =
+  let cfg ?(shards = 1) ?(cw = 0.0) () =
+    { Mcl.Config.default with
+      Mcl.Config.shards; threads = 2; congestion_weight = cw }
+  in
+  List.iter
+    (fun (name, spec, config, expected_digest, expected_stats) ->
+       let d = Mcl_gen.Generator.generate spec in
+       let s = Mcl.Scheduler.run config d in
+       pin (name ^ ": positions") expected_digest (positions_digest d);
+       pin (name ^ ": stats") expected_stats (scheduler_line s))
+    [ ("des_perf_1 shards 3", List.nth roster 0, cfg ~shards:3 (),
+       "2a557ff0d7586eb94a4c04e6adca4d9d",
+       "legalized=450 rounds=2 growths=24 fallbacks=0 k=474/28405/1542 shard=3/0/59/391/0");
+      ("edit_dist_1_md1 shards 4", List.nth roster 5, cfg ~shards:4 (),
+       "215ea080f1c86b52e77bdd788bfeb5fc",
+       "legalized=472 rounds=2 growths=0 fallbacks=0 k=472/22169/1769 shard=4/0/108/364/0");
+      ("tiled shards 3", List.nth tiled 2, cfg ~shards:3 (),
+       "f425bf333220b1f03fe5652f3e0f37f2",
+       "legalized=1680 rounds=2 growths=0 fallbacks=0 k=1680/70355/8974 shard=3/0/1421/259/0");
+      ("tiled shards 4", List.nth tiled 2, cfg ~shards:4 (),
+       "7a75abc4d9ab28e19cee6dabef76b2f6",
+       "legalized=1680 rounds=2 growths=0 fallbacks=0 k=1680/70542/8738 shard=4/0/1344/336/0");
+      ("fft_2_md2 shards 3 congestion", List.nth roster 8,
+       cfg ~shards:3 ~cw:0.5 (),
+       "ba9c68550c38b9420fd4023d1d81d140",
+       "legalized=200 rounds=2 growths=6 fallbacks=0 k=206/8988/785 shard=2/0/57/143/0") ];
+  let d = Mcl_gen.Generator.generate (List.nth roster 0) in
+  let s = Mcl.Baseline_greedy.run Mcl.Config.default d in
+  pin "greedy: positions"
+    "c90ad977a10cb66209cb1fea469a3cc4" (positions_digest d);
+  pin "greedy: legalized" "450" (string_of_int s.Mcl.Baseline_greedy.legalized);
+  let dense () =
+    Mcl_gen.Generator.generate
+      { Mcl_gen.Spec.default with
+        Mcl_gen.Spec.seed = 121;
+        num_cells = 400;
+        density = 0.8;
+        height_mix = [ (1, 0.7); (2, 0.2); (3, 0.1) ];
+        num_fences = 2;
+        fence_cell_frac = 0.15;
+        routability = true;
+        name = "dense121" }
+  in
+  let d = dense () in
+  let s = Mcl.Mgl.run Mcl.Config.default d in
+  pin "dense mgl: positions"
+    "dfccfc115a88797c15ef133f02d6dcef" (positions_digest d);
+  pin "dense mgl: stats"
+    "legalized=400 growths=87 fallbacks=3 k=487/24409/1195" (mgl_line s);
+  let d = dense () in
+  let s = Mcl.Scheduler.run Mcl.Config.default d in
+  pin "dense scheduler: positions"
+    "06b3f7ef766a1e616a5f22dea8568b49" (positions_digest d);
+  pin "dense scheduler: stats"
+    "legalized=400 rounds=185 growths=71 fallbacks=3 k=471/22439/1399 shard=-"
+    (scheduler_line s);
+  let off () = anchors_off_die (Mcl_gen.Generator.generate (List.nth roster 3)) in
+  let d = off () in
+  let s = Mcl.Mgl.run Mcl.Config.default d in
+  pin "off-die mgl: positions"
+    "e0c284f706d11074c29456d38dbd8de6" (positions_digest d);
+  pin "off-die mgl: stats"
+    "legalized=427 growths=17 fallbacks=0 k=440/11110/2267" (mgl_line s);
+  let d = off () in
+  let s = Mcl.Scheduler.run (cfg ~shards:3 ()) d in
+  pin "off-die shards 3: positions"
+    "4966f872e705f0cd169400233a72fbde" (positions_digest d);
+  pin "off-die shards 3: stats"
+    "legalized=427 rounds=2 growths=16 fallbacks=0 k=439/12781/2134 shard=3/0/173/251/3"
+    (scheduler_line s)
+
 let test_matching_digests () =
   let roster = Mcl_gen.Suites.iccad2017 ~scale:0.1 () in
   let tiled = Mcl_gen.Suites.iccad2017 ~scale:0.1 ~replicate:4 () in
@@ -211,7 +329,8 @@ let test_matching_digests () =
          expected (positions_digest d))
     [ (List.nth roster 0, "c614372795ef168f8aeb617c9c7bc5f9");
       (List.nth roster 5, "4bab41dae0c2370042a5633da2012435");
-      (List.nth tiled 2, "b106dbd48776be86a3162b86800644ba") ]
+      (List.nth tiled 2, "b106dbd48776be86a3162b86800644ba") ];
+  test_driver_digests ~roster ~tiled
 
 (* ---------- scheduler (Sec 3.5) ---------- *)
 

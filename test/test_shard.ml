@@ -210,24 +210,6 @@ let test_placement_merge () =
     done
   done
 
-(* ----- parallel congestion build ----- *)
-
-let test_congest_par_eq_seq () =
-  let d = Mcl_gen.Generator.generate (spec 31) in
-  let seq = Mcl_congest.Congestion.create ~bin_sites:16 d in
-  List.iter
-    (fun (threads, chunks) ->
-       let par =
-         Mcl_congest.Congestion.create_par ~bin_sites:16
-           ~run:(Mcl.Scheduler.run_jobs ~threads) ~chunks d
-       in
-       Alcotest.(check bool)
-         (Printf.sprintf "threads=%d chunks=%d: bit-identical maps" threads
-            chunks)
-         true
-         (Mcl_congest.Congestion.equal seq par))
-    [ (1, 1); (1, 5); (4, 4); (4, 9) ]
-
 (* ----- stripe replication ----- *)
 
 let test_replicate_stripes () =
@@ -273,7 +255,5 @@ let () =
       ("parity",
        [ Alcotest.test_case "vs sequential" `Slow test_parity_vs_sequential ]);
       ("merge", [ Alcotest.test_case "placement merge" `Quick test_placement_merge ]);
-      ("congest",
-       [ Alcotest.test_case "par == seq" `Quick test_congest_par_eq_seq ]);
       ("replicate",
        [ Alcotest.test_case "stripes" `Slow test_replicate_stripes ]) ]
