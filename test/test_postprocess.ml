@@ -274,6 +274,18 @@ let test_driver_digests ~roster ~tiled =
   pin "greedy: positions"
     "c90ad977a10cb66209cb1fea469a3cc4" (positions_digest d);
   pin "greedy: legalized" "450" (string_of_int s.Mcl.Baseline_greedy.legalized);
+  (* the Abacus baseline, and the full flow through row ordering *)
+  List.iter
+    (fun (i, abacus, pipeline) ->
+       let spec = List.nth roster i in
+       let name = spec.Mcl_gen.Spec.name in
+       let d = Mcl_gen.Generator.generate spec in
+       ignore (Mcl.Baseline_abacus.run Mcl.Config.default d);
+       pin (name ^ " abacus: positions") abacus (positions_digest d);
+       let d = Mcl_gen.Generator.generate spec in
+       ignore (Mcl.Pipeline.run Mcl.Config.default d);
+       pin (name ^ " pipeline: positions") pipeline (positions_digest d))
+    [ (0, "a5ad0a1396c61548f9818af409d5aba4", "6305b058ea3766bf0ece05be7b56c643"); (6, "0e1b4cdfabc44918d75c6dc4c6cc6d11", "b5cc33b1940a3a506100c4d848959496") ];
   let dense () =
     Mcl_gen.Generator.generate
       { Mcl_gen.Spec.default with
