@@ -266,7 +266,7 @@ let run config design =
     let h = Design.height design c and w = Design.width design c in
     let best = ref None in
     let try_y0 y0 =
-      if y0 >= 0 && y0 + h <= fp.Floorplan.num_rows && (h mod 2 = 1 || y0 mod 2 = 0)
+      if y0 >= 0 && y0 + h <= fp.Floorplan.num_rows && Insertion.parity_ok h y0
       then begin
         let strips_opt = List.init h (fun k -> strip_for c (y0 + k)) in
         if List.for_all Option.is_some strips_opt then begin

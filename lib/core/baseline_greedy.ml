@@ -20,7 +20,7 @@ let place_one design placement segments target =
      y-distance alone exceeds the best cost found *)
   let num_rows = fp.Floorplan.num_rows in
   let try_row y0 =
-    if y0 >= 0 && y0 + h <= num_rows && (h mod 2 = 1 || y0 mod 2 = 0) then begin
+    if y0 >= 0 && y0 + h <= num_rows && Insertion.parity_ok h y0 then begin
       let beatable =
         match !best with
         | Some (_, _, c) -> abs (y0 - tgt.Cell.gp_y) * dy_cost < c
@@ -63,10 +63,7 @@ let run config design =
   let segments =
     Segment.build ~respect_fences:config.Config.consider_fences design
   in
-  let placement = Placement.create design in
-  Array.iter
-    (fun (c : Cell.t) -> if c.Cell.is_fixed then Placement.add placement c.Cell.id)
-    design.Design.cells;
+  let placement = Mgl.fixed_placement design in
   let order =
     Array.to_list design.Design.cells
     |> List.filter (fun (c : Cell.t) -> not c.Cell.is_fixed)

@@ -49,12 +49,7 @@ let fallback_place ~relax_routability (ctx : Insertion.ctx) target =
   let h = Design.height design tgt and w = Design.width design tgt in
   let fp = design.Design.floorplan in
   let region = Segment.region_of ctx.Insertion.segments tgt in
-  let margin =
-    if ctx.Insertion.config.Config.consider_routability then
-      let t = fp.Floorplan.edge_spacing in
-      Array.fold_left (fun acc row -> Array.fold_left max acc row) 0 t
-    else 0
-  in
+  let margin = ctx.Insertion.clip_pad in
   let best = ref None in
   let consider ~y0 ~x cost =
     match !best with
@@ -64,7 +59,7 @@ let fallback_place ~relax_routability (ctx : Insertion.ctx) target =
   let num_rows = fp.Floorplan.num_rows in
   for y0 = 0 to num_rows - h do
     let row_feasible =
-      (h mod 2 = 1 || y0 mod 2 = 0)
+      Insertion.parity_ok h y0
       && (relax_routability
           ||
           match ctx.Insertion.routability with
@@ -226,11 +221,7 @@ let run_with_ctx ?budget ?(greedy = false) ctx ~order =
    region boundary always end at least one full rule apart. *)
 let boundary_gap config design =
   if not config.Config.consider_routability then 0
-  else begin
-    let t = design.Design.floorplan.Floorplan.edge_spacing in
-    let m = Array.fold_left (fun acc row -> Array.fold_left max acc row) 0 t in
-    (m + 1) / 2
-  end
+  else (Floorplan.max_spacing design.Design.floorplan + 1) / 2
 
 (* Congestion prior for the soft insertion penalty: built once from
    the pre-legalization positions, scoring-only afterwards. *)

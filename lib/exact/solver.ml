@@ -5,7 +5,8 @@ module Insertion = Mcl.Insertion
 module Placement = Mcl.Placement
 module Segment = Mcl.Segment
 module Routability = Mcl.Routability
-module Config = Mcl.Config
+module Arena = Mcl.Arena
+module I = Arena.Ibuf
 module Budget = Mcl_resilience.Budget
 open Mcl_netlist
 
@@ -15,13 +16,14 @@ type pos = { px : int; py : int; pcost : float }
 
 type move = { mv_cell : int; mv_x : int; mv_y : int }
 
-(* Sub-span of a free span after cutting by obstacles; [ss_let] /
-   [ss_ret] are the edge types of the bounding obstacles (-1 when the
-   boundary is a span or window edge), mirroring the insertion
-   kernel's clip-pad absorption. *)
+(* Sub-span of a free span after cutting by obstacles, as
+   Insertion.row_subspans builds it; [ss_let] / [ss_ret] are the edge
+   types of the bounding obstacles (-1 when the boundary is a span or
+   window edge). *)
 type subspan = { ss_lo : int; ss_hi : int; ss_let : int; ss_ret : int }
 
 type t = {
+  ctx : Insertion.ctx;
   order : int array;  (* instance cell ids, solve order *)
   widths : int array;
   heights : int array;
@@ -34,17 +36,12 @@ type t = {
   suffix : float array;  (* suffix.(k) = sum of per-slot curve minima, j >= k *)
   row_lo : int;
   baseline : float;
-  sp_routability : bool;  (* spacing rules active (consider_routability) *)
-  fp : Floorplan.t;
 }
-
-let parity_ok h y0 = h mod 2 = 1 || y0 mod 2 = 0
 
 let build (ctx : Insertion.ctx) ~window ~cells:cell_ids =
   let design = ctx.Insertion.design in
   let cells = design.Design.cells in
   let fp = design.Design.floorplan in
-  let config = ctx.Insertion.config in
   let num_cells = Design.num_cells design in
   let ids = List.sort_uniq Int.compare cell_ids in
   List.iter
@@ -54,8 +51,6 @@ let build (ctx : Insertion.ctx) ~window ~cells:cell_ids =
        if cells.(id).Cell.is_fixed then
          invalid_arg "Solver.build: fixed instance cell")
     ids;
-  let in_inst = Array.make num_cells false in
-  List.iter (fun id -> in_inst.(id) <- true) ids;
   (* solve order: tallest first, then widest, then id *)
   let order =
     Array.of_list
@@ -87,96 +82,25 @@ let build (ctx : Insertion.ctx) ~window ~cells:cell_ids =
   and row_hi = window.Rect.y.Interval.hi in
   let win_lo = window.Rect.x.Interval.lo
   and win_hi = window.Rect.x.Interval.hi in
-  (* clip free spans to the window exactly as the insertion kernel
-     does: edges created by clipping are padded by the largest spacing
-     rule, and obstacles stranded within the pad of a span edge donate
-     their edge type to the boundary *)
-  let clip_pad =
-    if config.Config.consider_routability then
-      let tbl = fp.Floorplan.edge_spacing in
-      Array.fold_left (fun acc r -> Array.fold_left Int.max acc r) 0 tbl
-    else 0
-  in
-  let clip (s : Interval.t) =
-    let lo = if s.Interval.lo < win_lo then win_lo + clip_pad else s.Interval.lo in
-    let hi = if s.Interval.hi > win_hi then win_hi - clip_pad else s.Interval.hi in
-    if hi <= lo then None else Some (Interval.make lo hi)
-  in
+  (* The kernel's sub-spans with the instance cells as its locals:
+     marked, so that only the cells outside the instance cut spans.
+     The scratch is the context's arena, which holds nothing between
+     kernel calls. *)
+  let a = ctx.Insertion.arena in
+  let marks = a.Arena.marks in
+  Arena.Marks.ensure marks num_cells;
+  Arena.Marks.next_epoch marks;
+  List.iter (fun id -> Arena.Marks.set marks id 0) ids;
   let rowdata_of_region reg =
+    Insertion.clip_spans ctx a ~region:reg ~window;
     Array.init (Int.max 0 (row_hi - row_lo)) (fun off ->
-        let row = row_lo + off in
-        let spans =
-          List.filter_map clip (Segment.spans ctx.Insertion.segments ~row ~region:reg)
-        in
-        (* Only cells with x in [win_lo - clip_pad - reach, win_hi +
-           clip_pad] can change a sub-span, the bound the insertion
-           kernel scans with (Insertion.build_window_arena). Every
-           clipped span [s_lo, s_hi) lies inside [win_lo, win_hi] and a
-           cell is at least one site wide, so a skipped cell is either
-           - left: it ends at or before win_lo - clip_pad <= s_lo -
-             clip_pad (reach bounds every width, fixed cells
-             included), so it overlaps no span, ends no closer than
-             clip_pad to one and starts left of every span end; or
-           - right: it starts after win_hi + clip_pad >= s_hi +
-             clip_pad, so it neither overlaps a span nor starts within
-             clip_pad of its end; it can pass the "ends left of the
-             boundary" test only once cur_lo has reached past s_hi,
-             after which nothing is pushed and cur_et is not read.
-           Instance cells are skipped either way, and the kept cells
-           keep their row order. *)
-        let arr, _ = Placement.row_cells ctx.Insertion.placement row in
-        let first, last =
-          Placement.x_range ctx.Insertion.placement ~row
-            ~lo:(win_lo - clip_pad - ctx.Insertion.reach)
-            ~hi:(win_hi + clip_pad)
-        in
-        let obstacles = ref [] in
-        for i = last - 1 downto first do
-          let id = arr.(i) in
-          if not in_inst.(id) then begin
-            let c = cells.(id) in
-            let w = Design.width design c in
-            obstacles :=
-              (c.Cell.x, c.Cell.x + w,
-               (Design.cell_type design c).Cell_type.edge_type)
-              :: !obstacles
-          end
-        done;
-        let obstacles = !obstacles in
-        let subspans = ref [] in
-        List.iter
-          (fun (s : Interval.t) ->
-             let cur_lo = ref s.Interval.lo and cur_et = ref (-1) in
-             let tail_et = ref (-1) in
-             List.iter
-               (fun (ox, oxhi, oet) ->
-                  if oxhi > s.Interval.lo && ox < s.Interval.hi then begin
-                    if ox > !cur_lo then
-                      subspans :=
-                        { ss_lo = !cur_lo; ss_hi = Int.min ox s.Interval.hi;
-                          ss_let = !cur_et; ss_ret = oet }
-                        :: !subspans;
-                    if oxhi > !cur_lo then begin
-                      cur_lo := oxhi;
-                      cur_et := oet
-                    end
-                  end
-                  else if oxhi > s.Interval.lo - clip_pad && oxhi <= !cur_lo
-                          && ox < !cur_lo then begin
-                    if !cur_et = -1 then cur_et := oet
-                  end
-                  else if ox >= s.Interval.hi && ox < s.Interval.hi + clip_pad
-                  then begin
-                    if !tail_et = -1 then tail_et := oet
-                  end)
-               obstacles;
-             if !cur_lo < s.Interval.hi then
-               subspans :=
-                 { ss_lo = !cur_lo; ss_hi = s.Interval.hi; ss_let = !cur_et;
-                   ss_ret = !tail_et }
-                 :: !subspans)
-          spans;
-        Array.of_list (List.rev !subspans))
+        List.iter I.clear
+          [ a.Arena.locs; a.Arena.ss_lo; a.Arena.ss_hi; a.Arena.ss_let;
+            a.Arena.ss_ret ];
+        Insertion.row_subspans ctx a ~off ~row:(row_lo + off) ~win_lo ~win_hi;
+        Array.init a.Arena.ss_lo.I.len (fun k ->
+            { ss_lo = a.Arena.ss_lo.I.a.(k); ss_hi = a.Arena.ss_hi.I.a.(k);
+              ss_let = a.Arena.ss_let.I.a.(k); ss_ret = a.Arena.ss_ret.I.a.(k) }))
   in
   let region_rows = ref [] in
   let rows_for reg =
@@ -188,14 +112,10 @@ let build (ctx : Insertion.ctx) ~window ~cells:cell_ids =
       r
   in
   let rows_of = Array.map rows_for regions in
-  let sp l r =
-    if config.Config.consider_routability then Floorplan.spacing fp ~l ~r
-    else 0
-  in
+  let sp l r = Insertion.spacing ctx ~l ~r in
   let y_cost_per_row =
     float_of_int fp.Floorplan.row_height /. float_of_int fp.Floorplan.site_width
   in
-  let sw = fp.Floorplan.site_width and rh = fp.Floorplan.row_height in
   (* Per-slot candidate enumeration + curve minima.  Anchors follow
      the kernel: placed cells measure per [disp_from], unplaced ones
      from GP. *)
@@ -234,35 +154,16 @@ let build (ctx : Insertion.ctx) ~window ~cells:cell_ids =
     let curve = cost_curves.(i) in
     Curve.add_target curve ~weight:wgt ~gp:ax;
     let cost_at ~x ~y0 =
-      let c0 =
-        Curve.eval curve x
-        +. (wgt *. float_of_int (abs (y0 - ay)) *. y_cost_per_row)
-      in
-      let c1 =
-        match ctx.Insertion.routability with
-        | None -> c0
-        | Some r ->
-          c0
-          +. (12.0 *. wgt
-              *. float_of_int (Routability.io_conflicts r ~type_id ~x ~y:y0))
-      in
-      match ctx.Insertion.congest with
-      | None -> c1
-      | Some cmap ->
-        let rect_dbu =
-          Rect.make ~xl:(x * sw) ~yl:(y0 * rh) ~xh:((x + w) * sw)
-            ~yh:((y0 + h) * rh)
-        in
-        c1
-        +. (config.Config.congestion_weight *. wgt *. float_of_int w
-            *. Mcl_congest.Congestion.cost cmap ~rect_dbu)
+      Insertion.penalized ctx ~cell:id ~x ~y0
+        (Curve.eval curve x
+         +. (wgt *. float_of_int (abs (y0 - ay)) *. y_cost_per_row))
     in
     let rows = rows_of.(i) in
     let acc = ref [] in
     let y_max = Int.min (row_hi - h) (fp.Floorplan.num_rows - h) in
     for y0 = row_lo to y_max do
       let row_feasible =
-        parity_ok h y0
+        Insertion.parity_ok h y0
         && (match ctx.Insertion.routability with
             | None -> true
             | Some r -> Routability.row_ok r ~type_id ~y:y0)
@@ -330,42 +231,18 @@ let build (ctx : Insertion.ctx) ~window ~cells:cell_ids =
     let id = order.(i) in
     if Placement.mem ctx.Insertion.placement id then begin
       let c = cells.(id) in
-      let w = widths.(i) and h = heights.(i) in
       let ax, ay = anchors.(i) in
       let wgt = ctx.Insertion.weights.(id) in
       let x = c.Cell.x and y0 = c.Cell.y in
-      let c0 =
-        (wgt *. float_of_int (abs (x - ax)))
-        +. (wgt *. float_of_int (abs (y0 - ay)) *. y_cost_per_row)
-      in
-      let c1 =
-        match ctx.Insertion.routability with
-        | None -> c0
-        | Some r ->
-          c0
-          +. (12.0 *. wgt
-              *. float_of_int
-                   (Routability.io_conflicts r ~type_id:c.Cell.type_id ~x ~y:y0))
-      in
-      let c2 =
-        match ctx.Insertion.congest with
-        | None -> c1
-        | Some cmap ->
-          let rect_dbu =
-            Rect.make ~xl:(x * sw) ~yl:(y0 * rh) ~xh:((x + w) * sw)
-              ~yh:((y0 + h) * rh)
-          in
-          c1
-          +. (config.Config.congestion_weight *. wgt *. float_of_int w
-              *. Mcl_congest.Congestion.cost cmap ~rect_dbu)
-      in
-      baseline := !baseline +. c2
+      baseline :=
+        !baseline
+        +. Insertion.penalized ctx ~cell:id ~x ~y0
+             ((wgt *. float_of_int (abs (x - ax)))
+              +. (wgt *. float_of_int (abs (y0 - ay)) *. y_cost_per_row))
     end
   done;
-  { order; widths; heights; ets; regions; rows_of; cands; suffix; row_lo;
-    baseline = !baseline;
-    sp_routability = config.Config.consider_routability;
-    fp }
+  { ctx; order; widths; heights; ets; regions; rows_of; cands; suffix; row_lo;
+    baseline = !baseline }
 
 let order t = t.order
 let candidates t i = Array.copy t.cands.(i)
@@ -392,11 +269,7 @@ let compatible t i pa j pb =
     if gap < 0 then false
     else if t.regions.(i) <> t.regions.(j) then true
     else begin
-      let req =
-        if t.sp_routability then
-          Floorplan.spacing t.fp ~l:t.ets.(i) ~r:t.ets.(j)
-        else 0
-      in
+      let req = Insertion.spacing t.ctx ~l:t.ets.(i) ~r:t.ets.(j) in
       if gap >= req then true
       else begin
         (* closer than the spacing rule: legal only if an obstacle

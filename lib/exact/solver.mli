@@ -6,11 +6,16 @@
     minimizing the paper's Eq. 1/2 objective — the same per-cell cost
     {!Mcl.Insertion.best} charges: curve-weighted displacement from
     the cell's anchor, the row term scaled by row-height/site-width,
-    the IO-conflict penalty and the optional soft congestion penalty.
-    Fences, power-rail parity, edge-spacing rules and routability
-    blockages constrain the candidate positions exactly as in the
-    insertion kernel (including clip-pad absorption of obstacle edge
-    types at window boundaries).
+    then the IO-conflict and optional congestion penalties of
+    {!Mcl.Insertion.penalized}. The window is the kernel's: its
+    sub-spans come from {!Mcl.Insertion.clip_spans} and
+    {!Mcl.Insertion.row_subspans} with the instance cells as the
+    locals (so clip-pad clipping, the obstacle cut and the absorption
+    of obstacle edge types at window boundaries are the kernel's own
+    code), and {!Mcl.Insertion.parity_ok} and
+    {!Mcl.Insertion.spacing} state the P/G-parity and edge-spacing
+    rules. Fences and routability blockages constrain the candidate
+    positions as in the kernel.
 
     Search is depth-first over cells in a fixed order (tallest/widest
     first, ties by id), with candidate positions per cell sorted
@@ -46,8 +51,10 @@ type t
 
 (** Build an instance over [cells] (movable cell ids, deduplicated; a
     currently unplaced cell — e.g. an insertion target — is allowed).
-    [window] must lie inside the die.  Raises [Invalid_argument] on a
-    fixed or out-of-range cell id. *)
+    [window] must lie inside the die.  Uses the context's arena as
+    scratch, so it must not run inside a kernel call on the same
+    context.  Raises [Invalid_argument] on a fixed or out-of-range
+    cell id. *)
 val build : Mcl.Insertion.ctx -> window:Mcl_geom.Rect.t -> cells:int list -> t
 
 (** {2 Introspection} — the exhaustive-enumeration cross-check and the

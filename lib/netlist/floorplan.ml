@@ -38,6 +38,10 @@ let spacing t ~l ~r =
     let row = t.edge_spacing.(l) in
     if r >= Array.length row then 0 else row.(r)
 
+let max_spacing t =
+  Array.fold_left (fun acc row -> Array.fold_left Int.max acc row) 0
+    t.edge_spacing
+
 let hrail_stripes t =
   if t.hrail_period <= 0 then []
   else

@@ -44,6 +44,10 @@ val die : t -> Mcl_geom.Rect.t
     edge types get spacing 0. *)
 val spacing : t -> l:int -> r:int -> int
 
+(** The largest entry of the spacing table (0 when it is empty): the
+    widest gap any pair of edge types can demand. *)
+val max_spacing : t -> int
+
 (** Horizontal stripe y-extents in dbu, restricted to row boundaries
     that fall inside the die. *)
 val hrail_stripes : t -> Mcl_geom.Interval.t list
