@@ -381,6 +381,38 @@ let test_window_edge_spacing () =
        edge_design ~fence_lo:0 ~fence_hi:20 ~fenced_x:17 ~target_gp:20,
        Rect.make ~xl:20 ~yl:0 ~xh:40 ~yh:1, 22) ]
 
+(* A local cell that overlaps an obstacle, as an ECO on a design that
+   was never legalized meets, lies in no sub-span: the window build
+   refuses it with a typed code rather than an index out of bounds.
+   Cell 0 ends past the window, so it is an obstacle; cell 1 sits on
+   it, inside the window. *)
+let test_overlapping_local_refused () =
+  let d =
+    make_design ~widths:[| 6; 1 |] ~gps:[| 8; 10 |] ~curs:[| 8; 10 |]
+      ~target_w:2 ~target_gp:2
+  in
+  let placement = Mcl.Placement.create d in
+  Mcl.Placement.add placement 0;
+  Mcl.Placement.add placement 1;
+  let cfg =
+    { Mcl.Config.default with
+      Mcl.Config.consider_routability = false;
+      consider_fences = false }
+  in
+  let ctx =
+    Mcl.Insertion.make_ctx cfg d ~placement
+      ~segments:(Mcl.Segment.build ~respect_fences:false d)
+      ~routability:None
+  in
+  match
+    Mcl.Insertion.best ctx ~target:2 ~window:(Rect.make ~xl:0 ~yl:0 ~xh:12 ~yh:1)
+  with
+  | _ -> Alcotest.fail "expected S305-window-overlap"
+  | exception Mcl_analysis.Diagnostic.Failed diags ->
+    Alcotest.(check (list string)) "refused with S305 on the overlapping cell"
+      [ "S305-window-overlap" ]
+      (List.map (fun (g : Mcl_analysis.Diagnostic.t) -> g.Mcl_analysis.Diagnostic.code) diags)
+
 (* a dense design exercises the pruner hard; ~check_pruning (above and
    here) fails the run if a pruned cut would have won, and the counters
    must show the pruner actually fired *)
@@ -448,6 +480,8 @@ let () =
            test_kernel_matches_reference_table1;
          Alcotest.test_case "spacing to obstacles past the window edge"
            `Quick test_window_edge_spacing;
+         Alcotest.test_case "a local on an obstacle is refused (S305)" `Quick
+           test_overlapping_local_refused;
          Alcotest.test_case "pruning fires and is sound" `Quick
            test_pruning_fires_and_is_sound;
          Alcotest.test_case "arena reuse is stateless" `Quick
