@@ -67,9 +67,10 @@ let kinds_of_string s =
 
 (* Per-kind firing state: [countdown] opportunities until the next
    firing; when it reaches zero, the next period is drawn from the
-   kind's own stream. A mutex keeps the streams deterministic even
-   when a site is polled from a worker domain (only the engine's
-   planning-time queries are; contention is nil). *)
+   kind's own stream. Every site is polled from the control thread
+   (the engine draws worker-death fates up front and runs design
+   groups in order), so the streams advance in one order; the mutex
+   only keeps a plan safe to poll from another thread. *)
 type lane = {
   prng : Prng.t;
   mutable countdown : int;

@@ -24,7 +24,6 @@ type entry = {
   mutable ctx : Mcl.Insertion.ctx option;
   mutable refine : refine_note option;
   mutable dirty : bool;
-  mutable pinned : bool;
   mutable last_used : int;
   mutable dedup : (string * Protocol.response) list;
 }
@@ -56,11 +55,13 @@ let touch t e =
   e.last_used <- t.tick
 
 (* Evict least-recently-used entries while over the bound, but only
-   entries that are neither pinned (a batch group is executing on
-   them) nor dirty (mutated since the last snapshot — dropping one
-   would lose acknowledged state that recovery could not restore
-   better than the journal already does, and under WAL-without-
+   entries that are not dirty (mutated since the last snapshot —
+   dropping one would lose acknowledged state that recovery could not
+   restore better than the journal already does, and under WAL-without-
    snapshots nothing ever becomes clean, so nothing is ever evicted).
+   Eviction runs only from [put] (a [load], which never shares a batch
+   segment with a design group) and [mark_all_clean] (between
+   batches), so no group is executing on a victim.
    The scan is a keyed min over the table, so the choice is
    deterministic: strictly oldest [last_used] wins, and ties cannot
    happen (the logical clock is strictly increasing). *)
@@ -77,7 +78,7 @@ let[@detlint.allow
       let victim =
         Hashtbl.fold
           (fun _ e best ->
-             if e.pinned || e.dirty then best
+             if e.dirty then best
              else
                match best with
                | Some b when b.last_used <= e.last_used -> best
@@ -85,7 +86,7 @@ let[@detlint.allow
           t.table None
       in
       match victim with
-      | None -> continue := false  (* everything pinned or dirty *)
+      | None -> continue := false  (* everything dirty *)
       | Some e ->
         Hashtbl.remove t.table e.key;
         t.evicted <- t.evicted + 1;
@@ -106,18 +107,6 @@ let find t key =
       | Some e ->
         touch t e;
         Some e)
-
-let pin t key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | None -> ()
-      | Some e -> e.pinned <- true)
-
-let unpin t key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | None -> ()
-      | Some e -> e.pinned <- false)
 
 (* Mark every entry snapshot-clean (a snapshot now covers its state)
    and then enforce the bound: entries that were un-evictable only

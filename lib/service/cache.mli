@@ -7,20 +7,23 @@
     any legalizer moves cells — scores are meaningless without it).
 
     With [max_designs] set, the cache evicts least-recently-used
-    entries once the bound is exceeded — but only entries that are
-    neither {e pinned} (a batch group is executing on them) nor
+    entries once the bound is exceeded — but only entries that are not
     {e dirty} (mutated since the last snapshot): evicting a dirty
     entry would drop acknowledged state the durability layer has not
-    yet captured. Entries become clean via {!mark_all_clean}, called
+    yet captured. Eviction runs only in {!put} (a [load], which never
+    shares a batch segment with a design group) and in
+    {!mark_all_clean} (between batches), so it never meets an entry a
+    group is executing on. Entries become clean via {!mark_all_clean}, called
     by the server after a snapshot (or after every batch when no
     journal is configured, in which case there is nothing to lose).
     Under a WAL without snapshots nothing is ever marked clean, so
     nothing is ever evicted — the conservative default.
 
     Mutating entries is only safe under the engine's batch discipline:
-    a batch segment runs its design groups one at a time, and loads
-    happen between segments (see {!Batch}). The table itself is mutex-protected so [stats]
-    snapshots can run concurrently with lookups. *)
+    a batch segment runs its design groups one at a time on the
+    control thread, and loads happen between segments (see {!Batch}).
+    Every access comes from that one thread; the table's mutex is
+    kept so that a lookup stays safe from any thread. *)
 
 open Mcl_netlist
 
@@ -67,8 +70,6 @@ type entry = {
   mutable refine : refine_note option;  (** latest [refine] summary *)
   mutable dirty : bool;
       (** mutated since the last snapshot; blocks eviction *)
-  mutable pinned : bool;
-      (** a batch group is executing on this entry; blocks eviction *)
   mutable last_used : int;  (** logical LRU clock value at last touch *)
   mutable dedup : (string * Protocol.response) list;
       (** bounded idempotency window, newest first: [req_id] of each
@@ -79,8 +80,7 @@ type entry = {
 type t
 
 (** [create ?max_designs ()] — with [max_designs] set (>= 1), the
-    table is bounded and LRU-evicts unpinned clean entries past the
-    bound. *)
+    table is bounded and LRU-evicts clean entries past the bound. *)
 val create : ?max_designs:int -> unit -> t
 
 (** [put t entry] inserts or replaces the entry under [entry.key],
@@ -90,11 +90,6 @@ val put : t -> entry -> string list
 
 (** Lookup; touches the entry's LRU clock. *)
 val find : t -> string -> entry option
-
-(** Block / allow eviction of one entry (missing keys are ignored). *)
-val pin : t -> string -> unit
-
-val unpin : t -> string -> unit
 
 (** Mark every entry snapshot-clean, then enforce the bound (entries
     kept only by their dirty flag become evictable); returns the

@@ -271,7 +271,7 @@ let exec_load t req ~key ~source =
       { Cache.key; design; gp_hpwl; source = source_name;
         load_wire = wire; loaded_at = started; legalized = false;
         eco_count = 0; congest = None; ctx = None; refine = None; dirty = true;
-        pinned = false; last_used = 0; dedup = [] }
+        last_used = 0; dedup = [] }
     in
     note_evicted t (Cache.put t.cache entry);
     let finished = now t in
@@ -770,52 +770,46 @@ let exec_group t (key, group) =
              (Printf.sprintf "design %S is not loaded" key) ))
       group
   | Some entry ->
-    (* pinned for the duration: the LRU bound must not evict an entry
-       a dispatched group is mutating *)
-    Cache.pin t.cache key;
-    Fun.protect
-      ~finally:(fun () -> Cache.unpin t.cache key)
-      (fun () ->
-         (* exactly-once: a member whose [req_id] is still in the
-            entry's window is a retry of an acknowledged mutation —
-            answer with the cached response verbatim (original id,
-            wal-stripped) and execute nothing for it *)
-         let hits, fresh =
-           List.partition
-             (fun (_, req) ->
-                match req.Protocol.req_id with
-                | Some rid -> Cache.dedup_find entry rid <> None
-                | None -> false)
-             group
-         in
-         let replayed =
-           List.map
-             (fun (i, req) ->
-                Telemetry.add t.telemetry Dedup_hits 1;
-                let resp =
-                  match req.Protocol.req_id with
-                  | Some rid ->
-                    (match Cache.dedup_find entry rid with
-                     | Some resp -> resp
-                     | None -> assert false)
-                  | None -> assert false
-                in
-                (i, resp))
-             hits
-         in
-         let executed =
-           Batch.eco_runs fresh
-           |> List.concat_map (fun unit_ ->
-               let results = exec_in_group t entry unit_ in
-               List.iter
-                 (fun (i, resp) ->
-                    match List.assoc_opt i fresh with
-                    | Some req -> register_dedup entry req resp
-                    | None -> ())
-                 results;
-               results)
-         in
-         replayed @ executed)
+    (* exactly-once: a member whose [req_id] is still in the
+       entry's window is a retry of an acknowledged mutation —
+       answer with the cached response verbatim (original id,
+       wal-stripped) and execute nothing for it *)
+    let hits, fresh =
+      List.partition
+        (fun (_, req) ->
+           match req.Protocol.req_id with
+           | Some rid -> Cache.dedup_find entry rid <> None
+           | None -> false)
+        group
+    in
+    let replayed =
+      List.map
+        (fun (i, req) ->
+           Telemetry.add t.telemetry Dedup_hits 1;
+           let resp =
+             match req.Protocol.req_id with
+             | Some rid ->
+               (match Cache.dedup_find entry rid with
+                | Some resp -> resp
+                | None -> assert false)
+             | None -> assert false
+           in
+           (i, resp))
+        hits
+    in
+    let executed =
+      Batch.eco_runs fresh
+      |> List.concat_map (fun unit_ ->
+          let results = exec_in_group t entry unit_ in
+          List.iter
+            (fun (i, resp) ->
+               match List.assoc_opt i fresh with
+               | Some req -> register_dedup entry req resp
+               | None -> ())
+            results;
+          results)
+    in
+    replayed @ executed
 
 (* Injected worker death: the group never runs, its design is
    untouched, and every member answers a structured error — the
