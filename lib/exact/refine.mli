@@ -47,7 +47,12 @@ val default_halfheight : int
     must hold every cell of its design (build it with {!Mcl.Mgl.context}
     over [Placement.of_design], or reuse the service's resident ECO
     context); accepted moves go through it, so its placement stays
-    current and its undo log, if any, records them.  [k] bounds the
+    current and its undo log, if any, records them. The solver builds
+    and prices each window with the context's own window rules
+    ({!Mcl.Insertion.clip_spans}, {!Mcl.Insertion.row_subspans},
+    {!Mcl.Insertion.penalized}), and instance cells keep
+    [ctx.clip_pad] clear of the window's x-edges, where the kernel's
+    clip demotes them to obstacles.  [k] bounds the
     number of windows examined; [node_budget] bounds each solve;
     [max_cells] caps the instance size per window (nearest-to-seed
     wins, deterministically); [congest] adds hotspot windows and the
