@@ -237,6 +237,112 @@ let test_prng_solver_cross_check () =
           else "simplex infeasible, ssp optimal"))
   done
 
+(* ---------- pivot-exact digest ---------- *)
+
+(* The flow tests above compare objectives only, but the row-order
+   stage reads the solver's potentials, and matching reads which arcs
+   carry the flow: any change to the tableau bookkeeping must leave
+   every pivot, and so every output bit, where it was. The digest
+   covers [flow], [potential], [total_cost] and [status] under both
+   pivot rules on 50 seeded networks: the generator above, plus
+   matching- and circulation-shaped graphs with many equal costs
+   (ties are where pivot order shows). *)
+
+(* Eq. 3-shaped: source -> lefts -> rights -> sink, identity edges plus
+   k extra edges per left, costs from a handful of values. *)
+let matching_instance prng =
+  let module Prng = Mcl_geom.Prng in
+  let n = Prng.int_in prng 4 40 in
+  let g = Graph.create () in
+  let source = Graph.add_node g ~supply:n in
+  let sink = Graph.add_node g ~supply:(-n) in
+  let lefts = Array.init n (fun _ -> Graph.add_node g ~supply:0) in
+  let rights = Array.init n (fun _ -> Graph.add_node g ~supply:0) in
+  Array.iter (fun l -> ignore (Graph.add_arc g ~src:source ~dst:l ~cap:1 ~cost:0)) lefts;
+  Array.iter (fun r -> ignore (Graph.add_arc g ~src:r ~dst:sink ~cap:1 ~cost:0)) rights;
+  let k = Prng.int_in prng 1 6 in
+  for i = 0 to n - 1 do
+    ignore
+      (Graph.add_arc g ~src:lefts.(i) ~dst:rights.(i) ~cap:1
+         ~cost:(1024 * Prng.int prng 4));
+    for _ = 1 to k do
+      ignore
+        (Graph.add_arc g ~src:lefts.(i) ~dst:rights.(Prng.int prng n) ~cap:1
+           ~cost:(1024 * Prng.int prng 4))
+    done
+  done;
+  g
+
+(* Eq. 6-9-shaped circulation: a hub, four bound arcs per cell node,
+   ordered pair arcs, and the max-displacement pair of hub nodes. *)
+let circulation_instance prng =
+  let module Prng = Mcl_geom.Prng in
+  let n = Prng.int_in prng 3 60 in
+  let g = Graph.create () in
+  let vz = Graph.add_node g ~supply:0 in
+  let nodes = Array.init n (fun _ -> Graph.add_node g ~supply:0) in
+  let w = Array.init n (fun _ -> 16 * Prng.int_in prng 1 3) in
+  let cap_inf = Array.fold_left ( + ) 1 w in
+  let x' = Array.init n (fun i -> 8 * i + Prng.int_in prng (-4) 4) in
+  Array.iteri
+    (fun i v ->
+       let lo = x'.(i) - Prng.int prng 12 and hi = x'.(i) + Prng.int prng 12 in
+       ignore (Graph.add_arc g ~src:v ~dst:vz ~cap:w.(i) ~cost:x'.(i));
+       ignore (Graph.add_arc g ~src:vz ~dst:v ~cap:w.(i) ~cost:(-x'.(i)));
+       ignore (Graph.add_arc g ~src:vz ~dst:v ~cap:cap_inf ~cost:(-lo));
+       ignore (Graph.add_arc g ~src:v ~dst:vz ~cap:cap_inf ~cost:hi))
+    nodes;
+  for i = 0 to n - 2 do
+    if Prng.int prng 3 > 0 then
+      ignore
+        (Graph.add_arc g ~src:nodes.(i) ~dst:nodes.(i + 1) ~cap:cap_inf
+           ~cost:(-(2 + Prng.int prng 3)))
+  done;
+  if Prng.bool prng then begin
+    let vp = Graph.add_node g ~supply:0 and vn = Graph.add_node g ~supply:0 in
+    let dy = Array.init n (fun _ -> 8 * Prng.int prng 2) in
+    Array.iteri
+      (fun i v ->
+         ignore (Graph.add_arc g ~src:v ~dst:vp ~cap:cap_inf ~cost:(x'.(i) - dy.(i)));
+         ignore (Graph.add_arc g ~src:vn ~dst:v ~cap:cap_inf ~cost:(-x'.(i) - dy.(i))))
+      nodes;
+    let max_dy = Array.fold_left max 0 dy in
+    ignore (Graph.add_arc g ~src:vp ~dst:vz ~cap:8 ~cost:max_dy);
+    ignore (Graph.add_arc g ~src:vz ~dst:vn ~cap:8 ~cost:max_dy)
+  end;
+  g
+
+let solution_digest () =
+  let prng = Mcl_geom.Prng.create 0x5EED_F10 in
+  let graphs =
+    List.init 20 (fun _ -> prng_instance prng)
+    @ List.init 15 (fun _ -> matching_instance prng)
+    @ List.init 15 (fun _ -> circulation_instance prng)
+  in
+  let buf = Buffer.create 65536 in
+  let ints a =
+    Array.iter (fun v -> Buffer.add_string buf (string_of_int v); Buffer.add_char buf ',') a;
+    Buffer.add_char buf ';'
+  in
+  List.iter
+    (fun g ->
+       List.iter
+         (fun pivot ->
+            let r = Ns.solve ~pivot g in
+            Buffer.add_string buf
+              (if r.Ns.status = Ns.Optimal then "opt;" else "inf;");
+            ints r.Ns.flow;
+            ints r.Ns.potential;
+            ints [| r.Ns.total_cost |])
+         [ Ns.Block_search; Ns.First_eligible ])
+    graphs;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_solution_digest () =
+  Alcotest.(check string) "flow, potential and cost digest"
+    "52f3e26c682a8b35e5bb4d0e7babcf29"
+    (solution_digest ())
+
 (* ---------- matching ---------- *)
 
 let test_matching_identity () =
@@ -322,7 +428,9 @@ let () =
          QCheck_alcotest.to_alcotest prop_ns_matches_ssp;
          QCheck_alcotest.to_alcotest prop_pivot_rules_agree;
          Alcotest.test_case "prng-seeded simplex == ssp" `Quick
-           test_prng_solver_cross_check ]);
+           test_prng_solver_cross_check;
+         Alcotest.test_case "solutions pinned by digest" `Quick
+           test_solution_digest ]);
       ("matching",
        [ Alcotest.test_case "identity" `Quick test_matching_identity;
          Alcotest.test_case "beneficial swap" `Quick test_matching_swap_beneficial;
