@@ -68,6 +68,20 @@ val run :
   ?shard_margin:int ->
   Config.t -> Design.t -> stats
 
+(** Batch formation on the round-batched path. An [occupancy] is a
+    bucket grid over [die], made once per run and reused by every
+    round; windows may lie anywhere, the die only sizes the grid. *)
+type occupancy
+
+val occupancy : die:Mcl_geom.Rect.t -> occupancy
+
+(** [greedy_batch occ windows] forms one round's batch: it is [true]
+    at [i] iff window [i] overlaps ({!Mcl_geom.Rect.overlaps},
+    half-open) no earlier window that is [true], so an empty window is
+    always [true]. Equal to scanning each window against the whole
+    batch so far, whatever earlier rounds [occ] served. *)
+val greedy_batch : occupancy -> Mcl_geom.Rect.t array -> bool array
+
 (** [run_jobs ~threads jobs] drains [jobs] through a shared work queue
     on [min threads (length jobs)] domains; with [threads <= 1] (or a
     single job) everything runs inline on the calling domain, in list
