@@ -30,3 +30,10 @@ val run : ?budget:Mcl_resilience.Budget.t -> Config.t -> Design.t -> stats
 (** The paper's Eq. 3 penalty for a displacement of [d] row heights
     with threshold [delta0]. *)
 val phi : delta0:float -> float -> float
+
+(** [sort_by_key key a] sorts the indices [a] by [key.(a.(i))]
+    ascending, under [Float.compare]. It is [Array.sort]'s heap sort
+    specialised to this key, making the same comparisons, so it leaves
+    [a] exactly as [Array.sort (fun i j -> compare key.(i) key.(j)) a]
+    would, ties included. *)
+val sort_by_key : float array -> int array -> unit
