@@ -37,9 +37,12 @@ let default_halfheight = 2
 (* Movable cells wholly inside the window, away from the clip-pad
    strips at the window's x-edges (ctx.clip_pad wide; Insertion's
    clipped spans leave them out, so cells there are obstacles),
-   nearest-to-seed first.  The seed is always an instance cell. *)
+   nearest-to-seed first.  The seed is always an instance cell.  Only
+   the window's rows are read from the context's placement, which
+   holds every cell; a cell is taken on its bottom row. *)
 let select_cells (ctx : Insertion.ctx) ~(window : Rect.t) ~seed ~max_cells =
   let design = ctx.Insertion.design in
+  let placement = ctx.Insertion.placement in
   let fp = design.Design.floorplan in
   let pad = ctx.Insertion.clip_pad in
   let xl = window.Rect.x.Interval.lo + pad
@@ -55,21 +58,24 @@ let select_cells (ctx : Insertion.ctx) ~(window : Rect.t) ~seed ~max_cells =
        (window.Rect.y.Interval.lo + window.Rect.y.Interval.hi) / 2)
   in
   let others = ref [] in
-  Array.iter
-    (fun (c : Cell.t) ->
-       if (not c.Cell.is_fixed) && Some c.Cell.id <> seed then begin
-         let r = Design.cell_rect design c in
-         if Rect.contains_rect window r
-            && r.Rect.x.Interval.lo >= xl
-            && r.Rect.x.Interval.hi <= xh
-         then begin
-           let d =
-             (abs (c.Cell.x - ax) * sw) + (abs (c.Cell.y - ay) * rh)
-           in
-           others := (d, c.Cell.id) :: !others
-         end
-       end)
-    design.Design.cells;
+  for row = max 0 window.Rect.y.Interval.lo
+      to min fp.Floorplan.num_rows window.Rect.y.Interval.hi - 1 do
+    let arr, _ = Placement.row_cells placement row in
+    let first, last = Placement.x_range placement ~row ~lo:xl ~hi:xh in
+    for i = first to last - 1 do
+      let c = design.Design.cells.(arr.(i)) in
+      if c.Cell.y = row && (not c.Cell.is_fixed) && Some c.Cell.id <> seed
+      then begin
+        let r = Design.cell_rect design c in
+        if Rect.contains_rect window r && r.Rect.x.Interval.hi <= xh then begin
+          let d =
+            (abs (c.Cell.x - ax) * sw) + (abs (c.Cell.y - ay) * rh)
+          in
+          others := (d, c.Cell.id) :: !others
+        end
+      end
+    done
+  done;
   let others =
     List.sort
       (fun (da, ia) (db, ib) ->
