@@ -355,7 +355,23 @@ let test_driver_digests ~roster ~tiled =
     "4966f872e705f0cd169400233a72fbde" (positions_digest d);
   pin "off-die shards 3: stats"
     "legalized=427 rounds=2 growths=16 fallbacks=0 k=439/12781/2134 shard=3/0/173/251/3"
-    (scheduler_line s)
+    (scheduler_line s);
+  (* the round-batched scheduler at scale 0.25, where tall cells form
+     long push chains across rows: edit_dist_a_md3 (heights 1-4) and
+     des_perf_b_md2 (heights 1-3) *)
+  let quarter = Mcl_gen.Suites.iccad2017 ~scale:0.25 () in
+  List.iter
+    (fun (i, expected_digest, expected_stats) ->
+       let spec = List.nth quarter i in
+       let d = Mcl_gen.Generator.generate spec in
+       let s = Mcl.Scheduler.run Mcl.Config.default d in
+       let name = spec.Mcl_gen.Spec.name ^ " x0.25 scheduler" in
+       pin (name ^ ": positions") expected_digest (positions_digest d);
+       pin (name ^ ": stats") expected_stats (scheduler_line s))
+    [ (7, "116757019db3c19dd175d6570784751a",
+       "legalized=1195 rounds=183 growths=125 fallbacks=0 k=1320/45247/7656 shard=-");
+      (4, "7f447e809d325a9636b4a5f3a3aa99e2",
+       "legalized=1020 rounds=195 growths=111 fallbacks=0 k=1131/52148/5052 shard=-") ]
 
 let test_matching_digests () =
   let roster = Mcl_gen.Suites.iccad2017 ~scale:0.1 () in
