@@ -198,16 +198,26 @@ type t = {
   ss_let : Ibuf.t;
   ss_ret : Ibuf.t;
   (* local cells per row, by x, flat with prefix offsets; [loc_ss] is
-     the flat sub-span index under each entry of [locs] *)
+     the flat sub-span index under each entry of [locs], non-decreasing
+     along it, so the locals of sub-span j are locs.(ss_lp.(j) ..
+     ss_lp.(j+1) - 1) *)
   locs_off : Ibuf.t;
   locs : Ibuf.t;
   loc_ss : Ibuf.t;
+  ss_lp : Ibuf.t;
   (* per-row obstacle scratch, rebuilt for each row *)
   ob_lo : Ibuf.t;
   ob_hi : Ibuf.t;
   ob_et : Ibuf.t;
-  (* evaluation scratch *)
-  order : Ibuf.t;  (* locals by (cur, idx) *)
+  (* a block's component: the sub-spans its chosen sub-spans reach
+     through multi-row locals ([comp_ss] marks them, [comp_q] lists
+     them in discovery order) and their locals, by index ([comp_idx])
+     and by (cur, idx) ([comp_ord]) *)
+  comp_ss : Marks.t;
+  comp_q : Ibuf.t;
+  comp_idx : Ibuf.t;
+  comp_ord : Ibuf.t;
+  (* evaluation scratch, indexed by local *)
   dp_m : Ibuf.t;
   dp_bigm : Ibuf.t;
   dp_d : Ibuf.t;
@@ -247,9 +257,10 @@ let create () =
     ss_off = Ibuf.create 32; ss_lo = Ibuf.create 64; ss_hi = Ibuf.create 64;
     ss_let = Ibuf.create 64; ss_ret = Ibuf.create 64;
     locs_off = Ibuf.create 32; locs = Ibuf.create 64;
-    loc_ss = Ibuf.create 64;
+    loc_ss = Ibuf.create 64; ss_lp = Ibuf.create 64;
     ob_lo = Ibuf.create 32; ob_hi = Ibuf.create 32; ob_et = Ibuf.create 32;
-    order = Ibuf.create 64;
+    comp_ss = Marks.create 64; comp_q = Ibuf.create 32;
+    comp_idx = Ibuf.create 64; comp_ord = Ibuf.create 64;
     dp_m = Ibuf.create 64; dp_bigm = Ibuf.create 64;
     dp_d = Ibuf.create 64; dp_dr = Ibuf.create 64;
     best_d = Ibuf.create 64; best_dr = Ibuf.create 64;

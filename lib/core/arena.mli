@@ -102,10 +102,14 @@ type t = {
   locs_off : Ibuf.t;
   locs : Ibuf.t;
   loc_ss : Ibuf.t;
+  ss_lp : Ibuf.t;
   ob_lo : Ibuf.t;
   ob_hi : Ibuf.t;
   ob_et : Ibuf.t;
-  order : Ibuf.t;
+  comp_ss : Marks.t;
+  comp_q : Ibuf.t;
+  comp_idx : Ibuf.t;
+  comp_ord : Ibuf.t;
   dp_m : Ibuf.t;
   dp_bigm : Ibuf.t;
   dp_d : Ibuf.t;

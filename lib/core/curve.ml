@@ -118,9 +118,11 @@ let eval t x =
       if k = k_target then
         t.pw.(i) *. float_of_int (abs (x - t.pgp.(i)))
       else if k = k_left then
-        t.pw.(i) *. float_of_int (abs (min t.pcur.(i) (x - t.pdist.(i)) - t.pgp.(i)))
+        t.pw.(i)
+        *. float_of_int (abs (Int.min t.pcur.(i) (x - t.pdist.(i)) - t.pgp.(i)))
       else
-        t.pw.(i) *. float_of_int (abs (max t.pcur.(i) (x + t.pdist.(i)) - t.pgp.(i)))
+        t.pw.(i)
+        *. float_of_int (abs (Int.max t.pcur.(i) (x + t.pdist.(i)) - t.pgp.(i)))
     in
     acc := !acc +. v
   done;
@@ -130,7 +132,9 @@ let eval t x =
 (* In-place dual-pivot sort of the (xs, dvs) event pairs by (x, dv)    *)
 (* ------------------------------------------------------------------ *)
 
-let ev_lt x1 d1 x2 d2 = x1 < x2 || (x1 = x2 && d1 < d2)
+(* typed, so both comparisons compile to machine compares rather than
+   calls to the polymorphic compare *)
+let ev_lt (x1 : int) (d1 : float) x2 d2 = x1 < x2 || (x1 = x2 && d1 < d2)
 
 let swap xs dvs i j =
   let tx = xs.(i) and td = dvs.(i) in

@@ -75,12 +75,17 @@ type occupancy
 
 val occupancy : die:Mcl_geom.Rect.t -> occupancy
 
-(** [greedy_batch occ windows] forms one round's batch: it is [true]
-    at [i] iff window [i] overlaps ({!Mcl_geom.Rect.overlaps},
-    half-open) no earlier window that is [true], so an empty window is
-    always [true]. Equal to scanning each window against the whole
-    batch so far, whatever earlier rounds [occ] served. *)
-val greedy_batch : occupancy -> Mcl_geom.Rect.t array -> bool array
+(** [greedy_batch occ ~window items len ~batch ~rest] forms one
+    round's batch from [items.(0 .. len-1)], in order: an item joins
+    iff its [window] overlaps ({!Mcl_geom.Rect.overlaps}, half-open) no
+    earlier joined item's, so an empty window always joins. Joined
+    items are copied to the front of [batch] and the others to the
+    front of [rest], both in order; the result is the number joined.
+    Equal to scanning each window against the whole batch so far,
+    whatever earlier rounds [occ] served. *)
+val greedy_batch :
+  occupancy -> window:('a -> Mcl_geom.Rect.t) -> 'a array -> int ->
+  batch:'a array -> rest:'a array -> int
 
 (** [run_jobs ~threads jobs] drains [jobs] through a shared work queue
     on [min threads (length jobs)] domains; with [threads <= 1] (or a

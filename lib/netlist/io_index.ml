@@ -13,7 +13,7 @@ type t = {
   first : int array;  (* pin -> first bucket *)
 }
 
-let bucket_of ~bin ~nbins x = max 0 (min (nbins - 1) (x / bin))
+let bucket_of ~bin ~nbins x = Int.max 0 (Int.min (nbins - 1) (x / bin))
 
 let create (fp : Floorplan.t) =
   let pins = Array.of_list fp.Floorplan.io_pins in
