@@ -386,18 +386,15 @@ let ablation ~scale () =
   print_newline ()
 
 (* ---------------------------------------------------------------- *)
-(* Congestion: incremental-map throughput and the weight trade-off.   *)
-(* Part 1 races apply_move/undo against full rebuilds on a hotspotted *)
-(* design and cross-checks the incremental map against a fresh one.   *)
-(* Part 2 sweeps the MGL congestion-penalty weight and reports the    *)
-(* max-overflow / displacement trade-off. Emits BENCH_congest.json.   *)
+(* Congestion: incremental-map throughput. Races apply_move/undo      *)
+(* against full rebuilds on a hotspotted design and cross-checks the  *)
+(* incremental map against a fresh one. Emits BENCH_congest.json.     *)
 (* ---------------------------------------------------------------- *)
 
 let congest ~scale () =
   let module C = Mcl_congest.Congestion in
   let module Json = Mcl_service.Json in
-  Printf.printf
-    "== Congestion: incremental RUDY map and MGL penalty sweep ==\n\n";
+  Printf.printf "== Congestion: incremental RUDY map ==\n\n";
   let spec =
     { Mcl_gen.Spec.default with
       Mcl_gen.Spec.name = "congest_bench";
@@ -406,7 +403,6 @@ let congest ~scale () =
       nets_per_cell = 2.5;
       seed = 97 }
   in
-  (* part 1: incremental vs rebuild throughput *)
   let d = Mcl_gen.Generator.generate spec in
   let fp = d.Design.floorplan in
   let cmap = C.create d in
@@ -458,35 +454,6 @@ let congest ~scale () =
     moves apply_rate undo_rate (t_rebuild *. 1000.0)
     (Mcl_congest.Grid.num_bins grid) ok;
   if not ok then failwith "congest bench: incremental map diverged from rebuild";
-  (* part 2: pipeline quality trade-off across penalty weights *)
-  Printf.printf "%-8s | %8s %8s %9s | %8s %8s | %7s\n" "weight" "maxOvf"
-    "avgOvf" "overfull" "avgDisp" "maxDisp" "time";
-  let sweep =
-    List.map
-      (fun weight ->
-         let d = Mcl_gen.Generator.generate spec in
-         let gp_hpwl = Mcl_eval.Metrics.hpwl d in
-         let cfg =
-           { Mcl.Config.default with Mcl.Config.congestion_weight = weight }
-         in
-         let _, t = timed (fun () -> Mcl.Pipeline.run cfg d) in
-         assert (Mcl_eval.Legality.is_legal d);
-         let score = Mcl_eval.Score.evaluate ~gp_hpwl d in
-         let s = Mcl_eval.Metrics.congestion d in
-         Printf.printf "%-8.2f | %8.3f %8.4f %9d | %8.3f %8.1f | %6.2fs\n%!"
-           weight s.C.max_overflow s.C.avg_overflow s.C.overfull
-           score.Mcl_eval.Score.avg_disp score.Mcl_eval.Score.max_disp t;
-         ( weight,
-           Json.Obj
-             [ ("weight", Json.Float weight);
-               ("max_overflow", Json.Float s.C.max_overflow);
-               ("avg_overflow", Json.Float s.C.avg_overflow);
-               ("overfull_bins", Json.Int s.C.overfull);
-               ("avg_disp_rows", Json.Float score.Mcl_eval.Score.avg_disp);
-               ("max_disp_rows", Json.Float score.Mcl_eval.Score.max_disp);
-               ("seconds", Json.Float t) ] ))
-      [ 0.0; 0.5; 2.0 ]
-  in
   let json =
     Json.Obj
       [ ("bench", Json.String "congest");
@@ -499,8 +466,7 @@ let congest ~scale () =
              ("undo_ops_per_s", Json.Float undo_rate);
              ("rebuild_s", Json.Float t_rebuild);
              ("bins", Json.Int (Mcl_congest.Grid.num_bins grid));
-             ("cross_check_equal", Json.Bool ok) ]);
-        ("weights", Json.List (List.map snd sweep)) ]
+             ("cross_check_equal", Json.Bool ok) ]) ]
   in
   let oc = open_out "BENCH_congest.json" in
   output_string oc (Json.to_string json);

@@ -61,8 +61,8 @@ let run_lint_all ~scale =
   exit (if !clean then 0 else 1)
 
 let run input suite scale algo threads shards window_halfwidth window_halfheight
-    congestion no_fences no_routability objective_total refine refine_nodes
-    output svg_congestion verbose lint lint_all audit =
+    no_fences no_routability objective_total refine refine_nodes output
+    svg_congestion verbose lint lint_all audit =
   if threads <= 0 then
     usage_error (Printf.sprintf "--threads must be >= 1 (got %d)" threads);
   if shards <= 0 then
@@ -75,8 +75,6 @@ let run input suite scale algo threads shards window_halfwidth window_halfheight
   if window_halfheight <= 0 then
     usage_error
       (Printf.sprintf "--window-halfheight must be >= 1 (got %d)" window_halfheight);
-  if congestion < 0.0 then
-    usage_error (Printf.sprintf "--congestion must be >= 0 (got %g)" congestion);
   if refine < 0 then
     usage_error (Printf.sprintf "--refine must be >= 0 (got %d)" refine);
   if refine_nodes <= 0 then
@@ -98,7 +96,6 @@ let run input suite scale algo threads shards window_halfwidth window_halfheight
       shards;
       window_halfwidth;
       window_halfheight;
-      congestion_weight = congestion;
       consider_fences =
         (not no_fences)
         && (if objective_total then false else not no_fences);
@@ -147,20 +144,11 @@ let run input suite scale algo threads shards window_halfwidth window_halfheight
      --refine 0 skips this entirely, keeping the pipeline bit-identical *)
   let refine_stats =
     if refine > 0 && not stage_failure then begin
-      let congest =
-        if config.Mcl.Config.congestion_weight > 0.0 then
-          Some
-            (Mcl_congest.Congestion.create
-               ~bin_sites:config.Mcl.Config.congestion_bin_sites design)
-        else None
-      in
       let ctx =
         Mcl.Mgl.context config design
           ~placement:(Mcl.Placement.of_design design)
       in
-      Some
-        (Mcl_exact.Refine.run ?congest ~node_budget:refine_nodes ~k:refine
-           ~gp_hpwl ctx)
+      Some (Mcl_exact.Refine.run ~node_budget:refine_nodes ~k:refine ~gp_hpwl ctx)
     end
     else None
   in
@@ -469,13 +457,6 @@ let cmd =
          & info [ "window-halfheight" ] ~docv:"ROWS"
              ~doc:"Initial MGL insertion window half-height in rows (>= 1).")
   in
-  let congestion =
-    Arg.(value & opt float 0.0
-         & info [ "congestion" ] ~docv:"WEIGHT"
-             ~doc:"Soft congestion-penalty weight added to MGL insertion \
-                   scoring (RUDY + pin-density bins; 0 disables, output is \
-                   then bit-identical to the default flow).")
-  in
   let no_fences = Arg.(value & flag & info [ "no-fences" ] ~doc:"Ignore fences.") in
   let no_rout =
     Arg.(value & flag & info [ "no-routability" ] ~doc:"Ignore routability rules.")
@@ -538,9 +519,9 @@ let cmd =
   Cmd.group
     ~default:
       Term.(const run $ input $ suite $ scale $ algo $ threads $ shards
-            $ window_halfwidth $ window_halfheight $ congestion $ no_fences
-            $ no_rout $ total $ refine $ refine_nodes $ output
-            $ svg_congestion $ verbose $ lint $ lint_all $ audit)
+            $ window_halfwidth $ window_halfheight $ no_fences $ no_rout
+            $ total $ refine $ refine_nodes $ output $ svg_congestion
+            $ verbose $ lint $ lint_all $ audit)
     (Cmd.info "mcl-legalize" ~doc:"Mixed-cell-height legalization (DAC'18 reproduction)")
     [ serve_cmd ]
 

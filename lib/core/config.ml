@@ -16,7 +16,6 @@ type t = {
   run_row_order : bool;
   threads : int;
   shards : int;
-  congestion_weight : float;
   congestion_bin_sites : int;
 }
 
@@ -36,7 +35,6 @@ let default =
     run_row_order = true;
     threads = 1;
     shards = 1;
-    congestion_weight = 0.0;
     congestion_bin_sites = 32 }
 
 let total_displacement =

@@ -32,11 +32,10 @@ type t = {
           switches {!Scheduler.run} to the sharded path (seams fixed by
           die geometry, so the output depends on [shards] but never on
           [threads]) *)
-  congestion_weight : float;
-      (** weight of the soft congestion penalty in MGL insertion
-          scoring; 0 (the default) disables the congestion machinery
-          entirely, leaving the pipeline output bit-identical *)
-  congestion_bin_sites : int;   (** congestion-map bin width, in sites *)
+  congestion_bin_sites : int;
+      (** bin width, in sites, of the congestion map the program
+          reports: the service's [query] and the CLI's SVG heat map.
+          The legalizer never reads it. *)
 }
 
 val default : t

@@ -16,7 +16,7 @@ let context config design =
 
 let relegalize ?(targets = []) ?budget ?(greedy = false) (ctx : Insertion.ctx)
     ~cells =
-  let design = ctx.Insertion.design and config = ctx.Insertion.config in
+  let design = ctx.Insertion.design in
   if ctx.Insertion.log = None then
     invalid_arg "Eco.relegalize: context without an undo log";
   let eco = List.sort_uniq Int.compare (cells @ List.map fst targets) in
@@ -47,12 +47,6 @@ let relegalize ?(targets = []) ?budget ?(greedy = false) (ctx : Insertion.ctx)
          c.Cell.gp_y <- y)
       targets;
     List.iter (Placement.remove ctx.Insertion.placement) eco;
-    (* the congestion prior is per run, from the current positions *)
-    let ctx =
-      match Mgl.congest_map config design with
-      | None -> ctx
-      | Some _ as congest -> { ctx with Insertion.congest }
-    in
     (* taller cells first, like MGL's main order *)
     let order =
       List.sort

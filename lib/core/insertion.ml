@@ -8,7 +8,6 @@ type ctx = {
   segments : Segment.t;
   config : Config.t;
   routability : Routability.t option;
-  congest : Mcl_congest.Congestion.t option;
   disp_from : [ `Gp | `Current ];
   weights : float array;
   utilization : float;
@@ -29,9 +28,9 @@ let utilization design =
   in
   float_of_int used /. float_of_int (max 1 die_area)
 
-let make_ctx ?(disp_from = `Gp) ?congest config design ~placement ~segments
+let make_ctx ?(disp_from = `Gp) config design ~placement ~segments
     ~routability =
-  { design; placement; segments; config; routability; congest; disp_from;
+  { design; placement; segments; config; routability; disp_from;
     utilization = utilization design; arena = Arena.create (); log = None;
     clip_pad =
       (if config.Config.consider_routability then
@@ -83,33 +82,15 @@ let spacing ctx ~l ~r =
 (* P/G parity: an even-height cell must start on an even row *)
 let parity_ok h y0 = h mod 2 = 1 || y0 mod 2 = 0
 
-(* [cost] plus the soft terms of putting [cell] at (x, y0): one IO
-   conflict costs as much as ~12 sites of movement, and the congestion
-   prior charges its cost per site of the cell's width *)
+(* [cost] plus the soft term of putting [cell] at (x, y0): one IO
+   conflict costs as much as ~12 sites of movement *)
 let penalized ctx ~cell ~x ~y0 cost =
-  let design = ctx.design in
-  let c = design.Design.cells.(cell) in
-  let cost =
-    match ctx.routability with
-    | None -> cost
-    | Some r ->
-      let io = Routability.io_conflicts r ~type_id:c.Cell.type_id ~x ~y:y0 in
-      cost +. (12.0 *. ctx.weights.(cell) *. float_of_int io)
-  in
-  match ctx.congest with
+  match ctx.routability with
   | None -> cost
-  | Some cmap ->
-    let fp = design.Design.floorplan in
-    let w = Design.width design c and h = Design.height design c in
-    let sw = fp.Floorplan.site_width and rh = fp.Floorplan.row_height in
-    let rect_dbu =
-      Rect.make ~xl:(x * sw) ~yl:(y0 * rh) ~xh:((x + w) * sw)
-        ~yh:((y0 + h) * rh)
-    in
-    cost
-    +. (ctx.config.Config.congestion_weight *. ctx.weights.(cell)
-        *. float_of_int w
-        *. Mcl_congest.Congestion.cost cmap ~rect_dbu)
+  | Some r ->
+    let c = ctx.design.Design.cells.(cell) in
+    let io = Routability.io_conflicts r ~type_id:c.Cell.type_id ~x ~y:y0 in
+    cost +. (12.0 *. ctx.weights.(cell) *. float_of_int io)
 
 (* ================================================================== *)
 (* Arena kernel: the allocation-lean evaluation path                    *)
@@ -485,7 +466,7 @@ let block_component (a : Arena.t) ~h ~ci_base =
       cur_a.(x) < cur_a.(y) || (cur_a.(x) = cur_a.(y) && x < y))
 
 (* Per-cut evaluation over the arena. Same DPs, same curve, same
-   routability/congestion adjustments as the oracle's [evaluate], run
+   routability adjustments as the oracle's [evaluate], run
    over the block's component (see [block_component]); push distances
    are left in [dp_d]/[dp_dr] for the caller to snapshot if this cut
    wins. Before each DP the component's entries get the value the

@@ -19,10 +19,6 @@ type ctx = {
   segments : Segment.t;
   config : Config.t;
   routability : Routability.t option;
-  congest : Mcl_congest.Congestion.t option;
-      (** congestion prior for the soft insertion penalty; [Some] only
-          when [config.congestion_weight > 0] (scoring-only: the map is
-          never mutated here, so concurrent stripe jobs stay safe) *)
   disp_from : [ `Gp | `Current ];
       (** [`Gp] measures local-cell displacement from GP positions
           (MGL); [`Current] from current positions (the MLL baseline). *)
@@ -53,8 +49,7 @@ type ctx = {
 val utilization : Design.t -> float
 
 val make_ctx :
-  ?disp_from:[ `Gp | `Current ] -> ?congest:Mcl_congest.Congestion.t ->
-  Config.t -> Design.t ->
+  ?disp_from:[ `Gp | `Current ] -> Config.t -> Design.t ->
   placement:Placement.t -> segments:Segment.t ->
   routability:Routability.t option -> ctx
 
@@ -77,12 +72,10 @@ val parity_ok : int -> int -> bool
 val spacing : ctx -> l:int -> r:int -> int
 
 (** [penalized ctx ~cell ~x ~y0 cost]: [cost], a displacement cost of
-    [cell] at site [x], row [y0], plus the soft terms of that
+    [cell] at site [x], row [y0], plus the soft term of that
     position: 12 sites of movement per IO-pin conflict (with
-    routability) and the congestion prior's cost times
-    [config.congestion_weight] per site of width (with a map). The
-    float operations run in one fixed order, so the kernel and the
-    solver price a position to the same bits. *)
+    routability). The float operations run in one fixed order, so the
+    kernel and the solver price a position to the same bits. *)
 val penalized : ctx -> cell:int -> x:int -> y0:int -> float -> float
 
 (** Free spans of [region] in each row of [window], clipped to it, into

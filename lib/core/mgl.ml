@@ -223,16 +223,7 @@ let boundary_gap config design =
   if not config.Config.consider_routability then 0
   else (Floorplan.max_spacing design.Design.floorplan + 1) / 2
 
-(* Congestion prior for the soft insertion penalty: built once from
-   the pre-legalization positions, scoring-only afterwards. *)
-let congest_map config design =
-  if config.Config.congestion_weight > 0.0 then
-    Some
-      (Mcl_congest.Congestion.create
-         ~bin_sites:config.Config.congestion_bin_sites design)
-  else None
-
-let context ?disp_from ?congest config design ~placement =
+let context ?disp_from config design ~placement =
   let segments =
     Segment.build ~boundary_gap:(boundary_gap config design)
       ~respect_fences:config.Config.consider_fences design
@@ -241,7 +232,7 @@ let context ?disp_from ?congest config design ~placement =
     if config.Config.consider_routability then Some (Routability.create design)
     else None
   in
-  Insertion.make_ctx ?disp_from ?congest config design ~placement ~segments
+  Insertion.make_ctx ?disp_from config design ~placement ~segments
     ~routability
 
 let fixed_placement design =
@@ -253,7 +244,6 @@ let fixed_placement design =
 
 let run ?(disp_from = `Gp) ?budget config design =
   let ctx =
-    context ~disp_from ?congest:(congest_map config design) config design
-      ~placement:(fixed_placement design)
+    context ~disp_from config design ~placement:(fixed_placement design)
   in
   run_with_ctx ?budget ctx ~order:(default_order design)

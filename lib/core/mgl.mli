@@ -39,17 +39,16 @@ val run_with_ctx :
   ?budget:Mcl_resilience.Budget.t -> ?greedy:bool -> Insertion.ctx ->
   order:int array -> stats
 
-(** [context ?disp_from ?congest config design ~placement] is the
+(** [context ?disp_from config design ~placement] is the
     insertion context every full-design flow runs on: segments built
     with {!boundary_gap} and the config's fence setting, routability
     tables when [config.consider_routability], over [placement] (which
     the context then owns and keeps current). {!run} passes the fixed
     cells only, the refiner and the ECO flow every cell; the sharded
-    scheduler copies the record with a placement per stripe.
-    [congest] is the soft-penalty prior (see {!congest_map}). *)
+    scheduler copies the record with a placement per stripe. *)
 val context :
-  ?disp_from:[ `Gp | `Current ] -> ?congest:Mcl_congest.Congestion.t ->
-  Config.t -> Design.t -> placement:Placement.t -> Insertion.ctx
+  ?disp_from:[ `Gp | `Current ] -> Config.t -> Design.t ->
+  placement:Placement.t -> Insertion.ctx
 
 (** A placement holding the design's fixed cells only. *)
 val fixed_placement : Design.t -> Placement.t
@@ -103,9 +102,3 @@ val place_fallback : Insertion.ctx -> int -> unit
 val free_gaps :
   Design.t -> Placement.t -> Segment.t -> region:int -> y0:int -> h:int ->
   Mcl_geom.Interval.t list
-
-(** Congestion prior for the soft insertion penalty: [Some] (built
-    from the design's current positions) iff
-    [config.congestion_weight > 0]. Shared by the scheduler and the
-    ECO path. *)
-val congest_map : Config.t -> Design.t -> Mcl_congest.Congestion.t option

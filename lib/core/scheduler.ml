@@ -144,8 +144,7 @@ let greedy_batch occ ~window items len ~batch ~rest =
 
 let run_batched ~disp_from ?budget config design =
   let ctx =
-    Mgl.context ~disp_from ?congest:(Mgl.congest_map config design) config
-      design ~placement:(Mgl.fixed_placement design)
+    Mgl.context ~disp_from config design ~placement:(Mgl.fixed_placement design)
   in
   let die = Floorplan.die design.Design.floorplan in
   (* L_w, the waiting cells, in two arrays that swap each round: a
@@ -235,8 +234,7 @@ let run_sharded ~disp_from ?budget ?shard_margin config design =
   (* one context for the run; the boundary pass swaps in the merged
      occupancy *)
   let ctx =
-    Mgl.context ~disp_from ?congest:(Mgl.congest_map config design) config
-      design ~placement:(Placement.create design)
+    Mgl.context ~disp_from config design ~placement:(Placement.create design)
   in
   let order = Mgl.default_order design in
   (* classification is per-cell pure (geometry only), so the resulting
@@ -263,13 +261,13 @@ let run_sharded ~disp_from ?budget ?shard_margin config design =
         Array.of_list (List.rev !ids))
   in
   (* single-owner state per stripe: a copy of the context with its own
-     placement and scratch arena (segments, routability tables and the
-     congestion prior are read-only, so the stripes share them). Fixed
-     cells are obstacles everywhere, so each stripe registers all of
-     them. Windows never leave the stripe, so concurrent stripes touch
-     disjoint cells and sites, and a cell that exhausts its stripe is
-     left for the boundary pass instead of falling back: the fallback
-     scans whole rows, which would escape the stripe. *)
+     placement and scratch arena (segments and routability tables are
+     read-only, so the stripes share them). Fixed cells are obstacles
+     everywhere, so each stripe registers all of them. Windows never
+     leave the stripe, so concurrent stripes touch disjoint cells and
+     sites, and a cell that exhausts its stripe is left for the
+     boundary pass instead of falling back: the fallback scans whole
+     rows, which would escape the stripe. *)
   let stripe_ctx =
     Array.init shards (fun _ ->
         { ctx with

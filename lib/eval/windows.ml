@@ -56,33 +56,3 @@ let worst_cells ?(k = 8) ~halfwidth ~halfheight design =
       { w_cell = id; w_disp = top_d.(j);
         w_window =
           cell_window design ~cell:id ~at:`Current ~halfwidth ~halfheight })
-
-let hotspot_windows ?(k = 4) ~halfwidth ~halfheight cmap design =
-  let grid = Mcl_congest.Congestion.grid cmap in
-  let summary = Mcl_congest.Congestion.summarize ~top_k:(Int.max k 1) cmap in
-  let ranked =
-    List.sort
-      (fun (a : Mcl_congest.Congestion.hotspot) b ->
-         let c = Float.compare b.hs_overflow a.hs_overflow in
-         if c <> 0 then c
-         else
-           let c = Int.compare a.by b.by in
-           if c <> 0 then c else Int.compare a.bx b.bx)
-      summary.Mcl_congest.Congestion.hotspots
-  in
-  let rec take n = function
-    | [] -> []
-    | _ when n <= 0 -> []
-    | (h : Mcl_congest.Congestion.hotspot) :: tl ->
-      if h.hs_overflow <= 0.0 then []
-      else
-        let xl = h.bx * grid.Mcl_congest.Grid.bin_sites in
-        let yl = h.by * grid.Mcl_congest.Grid.bin_rows in
-        let xh = xl + grid.Mcl_congest.Grid.bin_sites in
-        let yh = yl + grid.Mcl_congest.Grid.bin_rows in
-        die_clip design.Design.floorplan
-          ~xl:(xl - halfwidth) ~yl:(yl - halfheight)
-          ~xh:(xh + halfwidth) ~yh:(yh + halfheight)
-        :: take (n - 1) tl
-  in
-  take k ranked

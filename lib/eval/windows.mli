@@ -3,10 +3,8 @@
     Ranks movable cells by displacement from their GP anchors and wraps
     each in a legalization window centered on the anchor, so a refiner
     (or a service client) can see — and re-solve — the regions where
-    the heuristic pipeline paid the most.  Congestion hotspots get the
-    same treatment when a map is available.  All orders are total and
-    deterministic: displacement ties break on cell id, overflow ties on
-    bin coordinates. *)
+    the heuristic pipeline paid the most.  The order is total and
+    deterministic: displacement ties break on cell id. *)
 
 open Mcl_netlist
 
@@ -32,11 +30,3 @@ val cell_window :
     than [k] entries may be returned. *)
 val worst_cells :
   ?k:int -> halfwidth:int -> halfheight:int -> Design.t -> worst list
-
-(** Top-[k] congestion hotspot bins as site/row windows (overflow
-    descending, ties by bin coordinates), padded by [halfwidth] sites /
-    [halfheight] rows and clipped to the die.  Only bins with positive
-    overflow are returned. *)
-val hotspot_windows :
-  ?k:int -> halfwidth:int -> halfheight:int ->
-  Mcl_congest.Congestion.t -> Design.t -> Mcl_geom.Rect.t list

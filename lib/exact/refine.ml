@@ -10,7 +10,7 @@ open Mcl_netlist
 
 type outcome = {
   o_window : Rect.t;
-  o_seed : int option;
+  o_seed : int;
   o_cells : int;
   o_before : float;
   o_after : float;
@@ -48,15 +48,8 @@ let select_cells (ctx : Insertion.ctx) ~(window : Rect.t) ~seed ~max_cells =
   let xl = window.Rect.x.Interval.lo + pad
   and xh = window.Rect.x.Interval.hi - pad in
   let sw = fp.Floorplan.site_width and rh = fp.Floorplan.row_height in
-  let ax, ay =
-    match seed with
-    | Some id ->
-      let c = design.Design.cells.(id) in
-      (c.Cell.x, c.Cell.y)
-    | None ->
-      ((window.Rect.x.Interval.lo + window.Rect.x.Interval.hi) / 2,
-       (window.Rect.y.Interval.lo + window.Rect.y.Interval.hi) / 2)
-  in
+  let anchor = design.Design.cells.(seed) in
+  let ax = anchor.Cell.x and ay = anchor.Cell.y in
   let others = ref [] in
   for row = max 0 window.Rect.y.Interval.lo
       to min fp.Floorplan.num_rows window.Rect.y.Interval.hi - 1 do
@@ -64,8 +57,7 @@ let select_cells (ctx : Insertion.ctx) ~(window : Rect.t) ~seed ~max_cells =
     let first, last = Placement.x_range placement ~row ~lo:xl ~hi:xh in
     for i = first to last - 1 do
       let c = design.Design.cells.(arr.(i)) in
-      if c.Cell.y = row && (not c.Cell.is_fixed) && Some c.Cell.id <> seed
-      then begin
+      if c.Cell.y = row && (not c.Cell.is_fixed) && c.Cell.id <> seed then begin
         let r = Design.cell_rect design c in
         if Rect.contains_rect window r && r.Rect.x.Interval.hi <= xh then begin
           let d =
@@ -83,14 +75,12 @@ let select_cells (ctx : Insertion.ctx) ~(window : Rect.t) ~seed ~max_cells =
          if c <> 0 then c else Int.compare ia ib)
       !others
   in
-  let budget = match seed with Some _ -> max_cells - 1 | None -> max_cells in
   let rec take n = function
     | [] -> []
     | _ when n <= 0 -> []
     | (_, id) :: tl -> id :: take (n - 1) tl
   in
-  let picked = take budget others in
-  match seed with Some id -> id :: picked | None -> picked
+  seed :: take (max_cells - 1) others
 
 (* Move cells through the context: its placement stays current and
    its undo log (when it has one) sees every move. *)
@@ -112,7 +102,7 @@ let apply_moves (ctx : Insertion.ctx) moves =
 
 let run ?budget ?(node_budget = 200_000) ?(max_cells = 10)
     ?(halfwidth = default_halfwidth) ?(halfheight = default_halfheight)
-    ?congest ~k ~gp_hpwl (ctx : Insertion.ctx) =
+    ~k ~gp_hpwl (ctx : Insertion.ctx) =
   let design = ctx.Insertion.design in
   Insertion.clear_log ctx;
   let score0 = Score.evaluate ~gp_hpwl design in
@@ -121,86 +111,66 @@ let run ?budget ?(node_budget = 200_000) ?(max_cells = 10)
       subopt_cost = 0.0; score_before = score0.Score.score;
       score_after = score0.Score.score; outcomes = [] }
   else begin
-    let ctx = { ctx with Insertion.congest } in
-    (* window list: worst-displacement anchors first, congestion
-       hotspots after (when a map is available) *)
-    let disp_seeds = Windows.worst_cells ~k ~halfwidth ~halfheight design in
-    let hot =
-      match congest with
-      | None -> []
-      | Some cmap ->
-        let kh = Int.max 1 (k / 2) in
-        List.map
-          (fun w -> (None, w))
-          (Windows.hotspot_windows ~k:kh ~halfwidth ~halfheight cmap design)
-    in
-    let jobs =
-      List.map
-        (fun (w : Windows.worst) -> (Some w.Windows.w_cell, w.Windows.w_window))
-        disp_seeds
-      @ hot
-    in
     let cur_score = ref score0.Score.score in
     let cur_vio = ref (List.length (Legality.check design)) in
     let accepted = ref 0 and proven = ref 0 and exhausted = ref 0 in
     let nodes = ref 0 and subopt = ref 0.0 in
     let outcomes = ref [] in
     List.iter
-      (fun (seed, window) ->
+      (fun (w : Windows.worst) ->
+         let seed = w.Windows.w_cell and window = w.Windows.w_window in
          Budget.check budget;
          let inst = select_cells ctx ~window ~seed ~max_cells in
-         if inst <> [] then begin
-           let t = Solver.build ctx ~window ~cells:inst in
-           let before = Solver.baseline_cost t in
-           let res =
-             Solver.solve ?budget ~upper_bound:before ~max_nodes:node_budget t
-           in
-           nodes := !nodes + res.Solver.nodes;
-           (match res.Solver.verdict with
-            | Solver.Proven ->
-              incr proven;
-              if res.Solver.best_cost < before then
-                subopt := !subopt +. (before -. res.Solver.best_cost)
-            | Solver.Budget_exhausted -> incr exhausted);
-           let improves =
-             res.Solver.best_cost < before -. 1e-6
-             && res.Solver.moves <> []
-           in
-           let acc =
-             if not improves then false
-             else begin
-               let prev =
-                 List.map
-                   (fun (m : Solver.move) ->
-                      let c = design.Design.cells.(m.mv_cell) in
-                      { Solver.mv_cell = m.Solver.mv_cell; mv_x = c.Cell.x;
-                        mv_y = c.Cell.y })
-                   res.Solver.moves
-               in
-               apply_moves ctx res.Solver.moves;
-               let vio = List.length (Legality.check design) in
-               let score = (Score.evaluate ~gp_hpwl design).Score.score in
-               if vio <= !cur_vio && score <= !cur_score then begin
-                 cur_vio := vio;
-                 cur_score := score;
-                 true
-               end
-               else begin
-                 apply_moves ctx prev;
-                 false
-               end
+         let t = Solver.build ctx ~window ~cells:inst in
+         let before = Solver.baseline_cost t in
+         let res =
+           Solver.solve ?budget ~upper_bound:before ~max_nodes:node_budget t
+         in
+         nodes := !nodes + res.Solver.nodes;
+         (match res.Solver.verdict with
+          | Solver.Proven ->
+            incr proven;
+            if res.Solver.best_cost < before then
+              subopt := !subopt +. (before -. res.Solver.best_cost)
+          | Solver.Budget_exhausted -> incr exhausted);
+         let improves =
+           res.Solver.best_cost < before -. 1e-6
+           && res.Solver.moves <> []
+         in
+         let acc =
+           if not improves then false
+           else begin
+             let prev =
+               List.map
+                 (fun (m : Solver.move) ->
+                    let c = design.Design.cells.(m.mv_cell) in
+                    { Solver.mv_cell = m.Solver.mv_cell; mv_x = c.Cell.x;
+                      mv_y = c.Cell.y })
+                 res.Solver.moves
+             in
+             apply_moves ctx res.Solver.moves;
+             let vio = List.length (Legality.check design) in
+             let score = (Score.evaluate ~gp_hpwl design).Score.score in
+             if vio <= !cur_vio && score <= !cur_score then begin
+               cur_vio := vio;
+               cur_score := score;
+               true
              end
-           in
-           if acc then incr accepted;
-           outcomes :=
-             { o_window = window; o_seed = seed;
-               o_cells = List.length inst; o_before = before;
-               o_after = (if acc then res.Solver.best_cost else before);
-               o_verdict = res.Solver.verdict; o_nodes = res.Solver.nodes;
-               o_accepted = acc }
-             :: !outcomes
-         end)
-      jobs;
+             else begin
+               apply_moves ctx prev;
+               false
+             end
+           end
+         in
+         if acc then incr accepted;
+         outcomes :=
+           { o_window = window; o_seed = seed;
+             o_cells = List.length inst; o_before = before;
+             o_after = (if acc then res.Solver.best_cost else before);
+             o_verdict = res.Solver.verdict; o_nodes = res.Solver.nodes;
+             o_accepted = acc }
+           :: !outcomes)
+      (Windows.worst_cells ~k ~halfwidth ~halfheight design);
     { windows = List.length !outcomes; accepted = !accepted; proven = !proven;
       budget_exhausted = !exhausted; nodes = !nodes; subopt_cost = !subopt;
       score_before = score0.Score.score; score_after = !cur_score;

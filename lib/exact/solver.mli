@@ -6,16 +6,15 @@
     minimizing the paper's Eq. 1/2 objective — the same per-cell cost
     {!Mcl.Insertion.best} charges: curve-weighted displacement from
     the cell's anchor, the row term scaled by row-height/site-width,
-    then the IO-conflict and optional congestion penalties of
-    {!Mcl.Insertion.penalized}. The window is the kernel's: its
-    sub-spans come from {!Mcl.Insertion.clip_spans} and
-    {!Mcl.Insertion.row_subspans} with the instance cells as the
-    locals (so clip-pad clipping, the obstacle cut and the absorption
-    of obstacle edge types at window boundaries are the kernel's own
-    code), and {!Mcl.Insertion.parity_ok} and
-    {!Mcl.Insertion.spacing} state the P/G-parity and edge-spacing
-    rules. Fences and routability blockages constrain the candidate
-    positions as in the kernel.
+    then the IO-conflict penalty of {!Mcl.Insertion.penalized}. The
+    window is the kernel's: its sub-spans come from
+    {!Mcl.Insertion.clip_spans} and {!Mcl.Insertion.row_subspans} with
+    the instance cells as the locals (so clip-pad clipping, the
+    obstacle cut and the absorption of obstacle edge types at window
+    boundaries are the kernel's own code), and
+    {!Mcl.Insertion.parity_ok} and {!Mcl.Insertion.spacing} state the
+    P/G-parity and edge-spacing rules. Fences and routability
+    blockages constrain the candidate positions as in the kernel.
 
     Search is depth-first over cells in a fixed order (tallest/widest
     first, ties by id), with candidate positions per cell sorted

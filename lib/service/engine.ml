@@ -402,17 +402,12 @@ let exec_refine t (entry : Cache.entry) req ~k ~node_budget =
   let design = entry.Cache.design in
   let before_disp = total_disp_rows design in
   let budget = budget_of t req in
-  let congest =
-    if t.config.Mcl.Config.congestion_weight > 0.0 then
-      Some (congest_of t entry)
-    else None
-  in
   match
     transactional entry (fun () ->
         dropping_ctx entry (fun () ->
             Budget.check_now budget;
             inject_stage t ~stage:"refine";
-            Mcl_exact.Refine.run ?budget ?congest ~node_budget ~k
+            Mcl_exact.Refine.run ?budget ~node_budget ~k
               ~gp_hpwl:entry.Cache.gp_hpwl (ctx_of t entry)))
   with
   | stats ->

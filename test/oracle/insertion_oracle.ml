@@ -490,23 +490,6 @@ let evaluate ctx ec ~cut ~target =
     match result with
     | None -> None
     | Some (x, cost) ->
-      (* soft congestion penalty: a candidate footprint sitting on
-         bins overflowing by 1.0 costs congestion_weight times as much
-         as moving the target by its own width *)
-      let cost =
-        match ctx.congest with
-        | None -> cost
-        | Some cmap ->
-          let sw = fp.Floorplan.site_width and rh = fp.Floorplan.row_height in
-          let rect_dbu =
-            Rect.make ~xl:(x * sw) ~yl:(ec.y0 * rh)
-              ~xh:((x + ec.t_wid) * sw) ~yh:((ec.y0 + ec.h) * rh)
-          in
-          cost
-          +. (ctx.config.Config.congestion_weight *. ctx.weights.(target)
-              *. float_of_int ec.t_wid
-              *. Mcl_congest.Congestion.cost cmap ~rect_dbu)
-      in
       let lefts = ref [] and rights = ref [] in
       for i = 0 to n - 1 do
         if is_left i then begin

@@ -19,8 +19,8 @@ let same_candidate a b =
     && a.Mcl.Insertion.rights = b.Mcl.Insertion.rights
   | _ -> false
 
-(* the context an MGL run makes: segments, routability tables and the
-   congestion prior per [cfg], and a placement of the fixed cells *)
+(* the context an MGL run makes: segments and routability tables per
+   [cfg], and a placement of the fixed cells *)
 let flow_ctx ~disp_from cfg d =
   let segments =
     Mcl.Segment.build ~boundary_gap:(Mcl.Mgl.boundary_gap cfg d)
@@ -35,8 +35,7 @@ let flow_ctx ~disp_from cfg d =
     (fun (c : Cell.t) ->
        if c.Cell.is_fixed then Mcl.Placement.add placement c.Cell.id)
     d.Design.cells;
-  Mcl.Insertion.make_ctx ~disp_from ?congest:(Mcl.Mgl.congest_map cfg d) cfg d
-    ~placement ~segments ~routability
+  Mcl.Insertion.make_ctx ~disp_from cfg d ~placement ~segments ~routability
 
 (* Legalize [d] like Mgl.run_with_ctx, calling BOTH kernels on every
    window; false on the first divergence. The context comes back for
