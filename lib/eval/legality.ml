@@ -108,17 +108,3 @@ let check design =
   List.rev !violations
 
 let is_legal design = check design = []
-
-let assert_legal ~what design =
-  match check design with
-  | [] -> ()
-  | vs ->
-    let n = List.length vs in
-    let head =
-      List.filteri (fun i _ -> i < 5) vs
-      |> List.map (Format.asprintf "%a" pp_violation)
-      |> String.concat ", "
-    in
-    failwith
-      (Printf.sprintf "%s: %d legality violations (%s%s)" what n head
-         (if n > 5 then ", ..." else ""))

@@ -21,7 +21,3 @@ val pp_violation : Format.formatter -> violation -> unit
 val check : Design.t -> violation list
 
 val is_legal : Design.t -> bool
-
-(** [assert_legal ~what d] raises [Failure] with a descriptive message
-    when the design is illegal; used as an internal sanity barrier. *)
-val assert_legal : what:string -> Design.t -> unit

@@ -54,5 +54,3 @@ let cost t a = t.a_cost.(a)
 let arcs_arrays t =
   (Array.sub t.a_src 0 t.m, Array.sub t.a_dst 0 t.m,
    Array.sub t.a_cap 0 t.m, Array.sub t.a_cost 0 t.m)
-
-let supplies_array t = Array.sub t.supplies 0 t.n

@@ -30,5 +30,3 @@ val cost : t -> arc -> int
 (** Finalized copies of the arc/node attributes (length = counts). *)
 val arcs_arrays : t -> int array * int array * int array * int array
 (** [(src, dst, cap, cost)] *)
-
-val supplies_array : t -> int array

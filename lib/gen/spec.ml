@@ -32,5 +32,3 @@ let default =
     num_edge_types = 3;
     num_macros = 0;
     replicate = 1 }
-
-let with_name t name = { t with name }

@@ -26,5 +26,3 @@ type t = {
 (** Sensible defaults: 2000 cells, 60% density, 10% double-height,
     no fences, routability on. *)
 val default : t
-
-val with_name : t -> string -> t

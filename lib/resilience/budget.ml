@@ -51,6 +51,4 @@ let expired = function
   | None -> false
   | Some b -> b.clock () > b.deadline
 
-let remaining_s b = b.deadline -. b.clock ()
-
 let deadline b = b.deadline

@@ -43,8 +43,6 @@ val check_now : t option -> unit
 (** Non-raising probe (forces a clock read). *)
 val expired : t option -> bool
 
-val remaining_s : t -> float
-
 (** The absolute deadline, in the budget clock's timebase (lets a
     batch executor take the tightest of its members' deadlines). *)
 val deadline : t -> float

@@ -1,6 +1,5 @@
 module Graph = Mcl_flow.Graph
 module Ns = Mcl_flow.Network_simplex
-module Ssp = Mcl_flow.Ssp
 module Matching = Mcl_flow.Matching
 
 (* ---------- hand-built instances ---------- *)
