@@ -96,8 +96,8 @@ type summary = {
 val summarize : ?top_k:int -> t -> summary
 
 (** Area-weighted mean overflow over the bins a dbu rectangle
-    overlaps; 0 when the rectangle misses the die. The MGL soft
-    congestion penalty evaluates candidate footprints with this. *)
+    overlaps; 0 when the rectangle misses the die. The service's
+    [query] reports each worst window's overflow with this. *)
 val cost : t -> rect_dbu:Mcl_geom.Rect.t -> float
 
 (** Same maps (grid shape, demand and pin arrays) — the incremental ==
